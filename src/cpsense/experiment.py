@@ -70,8 +70,15 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "dims", check_shape(self.dims))
         object.__setattr__(self, "kappa_grid", tuple(float(k) for k in self.kappa_grid))
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if any(d < self.rank for d in self.dims):
+            raise ValueError(f"every dimension must be >= rank, got "
+                             f"dims={self.dims}, rank={self.rank}")
         if not self.kappa_grid:
             raise ValueError("kappa grid must be nonempty")
+        if len(set(self.kappa_grid)) != len(self.kappa_grid):
+            raise ValueError(f"kappa grid repeats a value: {self.kappa_grid}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.success_mse_threshold <= 0:
@@ -81,7 +88,11 @@ class ExperimentConfig:
             if len(m) not in (1, len(self.kappa_grid)):
                 raise ValueError(
                     "explicit m list must have 1 entry or one per grid point")
+            if min(m) < 1:
+                raise ValueError(f"explicit m must be >= 1, got {m}")
             object.__setattr__(self, "m", m)
+        if not self.m_factor > 0:
+            raise ValueError(f"m_factor must be > 0, got {self.m_factor}")
 
     def m_for(self, grid_index: int) -> int:
         if self.m is not None:
@@ -165,26 +176,27 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> ExperimentRow:
+    """One seeded trial.  A singular system (`LinAlgError`) is recorded as a
+    failed recovery; any other exception is a fault and propagates."""
     kappa_tilde = config.kappa_grid[grid_index]
     m = config.m_for(grid_index)
     trial_seed = mix(mix(config.base_seed, grid_index), trial_index)
     start = time.perf_counter()
+    model = generate_conditioned_model(config.dims, config.rank, kappa_tilde,
+                                       mix(trial_seed, _MODEL_STREAM))
+    truth = reconstruct(model)
+    op = create_operator(m, config.dims, config.distribution, config.alpha,
+                         mix(trial_seed, _OP_STREAM))
+    y = sense_apply(op, truth)
+    solver = RecoveryConfig(rank=config.rank, max_iters=config.max_iters,
+                            restarts=config.restarts,
+                            seed=mix(trial_seed, _SOLVER_STREAM))
     try:
-        model = generate_conditioned_model(config.dims, config.rank, kappa_tilde,
-                                           mix(trial_seed, _MODEL_STREAM))
-        truth = reconstruct(model)
-        op = create_operator(m, config.dims, config.distribution, config.alpha,
-                             mix(trial_seed, _OP_STREAM))
-        y = sense_apply(op, truth)
-        report = recover(op, y, RecoveryConfig(
-            rank=config.rank, max_iters=config.max_iters,
-            restarts=config.restarts, seed=mix(trial_seed, _SOLVER_STREAM)),
-            ground_truth=truth)
-        trial_mse = report.mse if report.mse is not None else math.inf
-        iterations = report.iterations
-    except Exception:
-        trial_mse = math.inf
-        iterations = 0
+        report = recover(op, y, solver, ground_truth=truth)
+    except np.linalg.LinAlgError:
+        trial_mse, iterations = math.inf, 0
+    else:
+        trial_mse, iterations = report.mse, report.iterations
     elapsed = time.perf_counter() - start
     return ExperimentRow(
         kappa_tilde=kappa_tilde, m=m, trial_index=trial_index,

@@ -22,7 +22,6 @@ parameter count and the rank-one components have comparable weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ from .tensor_core import (
     khatri_rao_chain,
     mse,
     reconstruct,
-    vec,
 )
 
 STATUS_CONVERGED = "converged"
@@ -76,6 +74,14 @@ class RecoveryConfig:
 
 @dataclass
 class RecoveryReport:
+    """Outcome of `recover`: the best restart's model and how it was reached.
+
+    ``iterations`` counts the LM iterations of the winning restart's best
+    stage plus those of the rank-(F+1) ladder fits run in that restart.
+    ``total_iterations`` counts the LM iterations of every run, over all
+    restarts, stages and ladder fits: the solver work that ran.
+    """
+
     model: CpModel
     objective: float
     objective_trace: list[float]
@@ -84,6 +90,23 @@ class RecoveryReport:
     restart_index: int
     status: str
     mse: float | None = None
+    total_iterations: int = 0
+
+
+@dataclass(frozen=True)
+class LmRun:
+    """One damped Gauss-Newton run: final model and objective, the objective
+    after each accepted step, iterations taken and how the run ended."""
+
+    model: CpModel
+    objective: float
+    trace: list[float]
+    iterations: int
+    status: str
+
+    @property
+    def converged(self) -> bool:
+        return self.status == STATUS_CONVERGED
 
 
 def objective(model: CpModel, op: SensingOperator, y: np.ndarray) -> float:
@@ -98,7 +121,11 @@ def residual_jacobian(model: CpModel, op: SensingOperator, y: np.ndarray):
     """Residual r = y - Phi vec(X) and its Jacobian w.r.t. the factor entries.
 
     The column for A_n(i, f) is -Phi times the vectorized rank-one tensor
-    built from the f-th factor columns with e_i substituted at mode n.
+    built from the f-th factor columns with e_i substituted at mode n, so
+    block n is one product of the mode-n unfolding of Phi with the
+    Khatri-Rao product of the other factors.  The model is linear in each
+    factor, so Phi vec(X) = -J_N x_N and the residual comes from the last
+    block.
     """
     if model.shape != op.shape:
         raise DimensionMismatch(f"model shape {model.shape} != operator shape {op.shape}")
@@ -106,19 +133,14 @@ def residual_jacobian(model: CpModel, op: SensingOperator, y: np.ndarray):
     if y.size != op.m:
         raise DimensionMismatch(f"measurement length {y.size} != M = {op.m}")
     factors = model.factors
-    n_modes = len(factors)
     f = model.rank
-    r = y - op.matrix @ vec(reconstruct(model))
-
     blocks = []
-    for n in range(n_modes):
+    for n, unfolding in enumerate(op.mode_unfoldings):
         i_n = factors[n].shape[0]
-        left = khatri_rao_chain(factors[:n]) if n > 0 else np.ones((1, f))
-        right = khatri_rao_chain(factors[n + 1:]) if n < n_modes - 1 else np.ones((1, f))
-        phi_r = op.matrix.reshape(op.m, left.shape[0], i_n, right.shape[0])
-        # t[m, i, g] = sum_{b,a} Phi[m, b, i, a] left[b, g] right[a, g]
-        t = np.einsum("mbia,bg,ag->mig", phi_r, left, right, optimize=True)
-        blocks.append(-t.transpose(0, 2, 1).reshape(op.m, f * i_n))
+        t = unfolding @ khatri_rao_chain(factors[:n] + factors[n + 1:])
+        # t[(m, i), g] -> columns ordered (g, i), as _pack orders a factor
+        blocks.append(-t.reshape(op.m, i_n, f).transpose(0, 2, 1).reshape(op.m, f * i_n))
+    r = y + blocks[-1] @ factors[-1].ravel(order="F")
     return r, np.hstack(blocks)
 
 
@@ -136,9 +158,8 @@ def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
 
 
 def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
-               config: RecoveryConfig, rank: int):
-    """One damped Gauss-Newton run; returns (model, objective, trace, iters,
-    converged, status)."""
+               config: RecoveryConfig, rank: int) -> LmRun:
+    """One damped Gauss-Newton run from the given factors."""
     dims = op.shape
     nu = config.damping_factor
     x = _pack(factors0)
@@ -147,29 +168,30 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     f_val = float(np.dot(r, r))
     trace = [f_val]
     if f_val == 0.0:
-        return model, f_val, trace, 0, True, STATUS_CONVERGED
+        return LmRun(model, f_val, trace, 0, STATUS_CONVERGED)
 
-    jtj = jac.T @ jac
-    g = jac.T @ r
-    diag = np.diag(jtj).copy()
-    dmax = max(float(diag.max()), np.finfo(float).tiny)
     mu = config.damping_init_scale
-
+    on_diag = np.diag_indices(x.size)
     status = STATUS_MAX_ITERS
-    converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
+        jtj = jac.T @ jac
+        g = jac.T @ r
+        diag = np.diag(jtj)
+        dmax = max(float(diag.max()), np.finfo(float).tiny)
         shift = np.maximum(diag, _DIAG_FLOOR * dmax)
         accepted = False
-        f_new = f_val
         for _ in range(_MAX_DAMPING_RETRIES):
+            damped = jtj.copy()
+            damped[on_diag] += mu * shift
             try:
-                delta = np.linalg.solve(jtj + mu * np.diag(shift), g)
+                delta = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 x_new = x - delta
-                f_new = objective(_unpack(x_new, dims, rank), op, y)
+                trial = _unpack(x_new, dims, rank)
+                f_new = objective(trial, op, y)
                 if f_new < f_val:
                     accepted = True
                     mu /= nu
@@ -179,23 +201,14 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
             status = STATUS_STALLED
             break
         rel_change = (f_val - f_new) / f_val
-        x = x_new
-        f_val = f_new
+        x, model, f_val = x_new, trial, f_new
         trace.append(f_val)
-        model = _unpack(x, dims, rank)
         if f_val == 0.0 or rel_change < config.rel_obj_tol:
-            converged = True
             status = STATUS_CONVERGED
             break
         r, jac = residual_jacobian(model, op, y)
-        jtj = jac.T @ jac
-        g = jac.T @ r
-        diag = np.diag(jtj).copy()
-        dmax = max(float(diag.max()), np.finfo(float).tiny)
-    else:
-        it = config.max_iters
 
-    return _unpack(x, dims, rank), f_val, trace, it, converged, status
+    return LmRun(model, f_val, trace, it, status)
 
 
 def _scale_to_norm(factors, target: float):
@@ -240,8 +253,8 @@ def _ladder_start(op, y, y_norm, rank, rng, config):
     backprojection = adjoint_apply(op, y)
     factors = _dense_cp_als(backprojection, rank + 1, rng, _ALS_INIT_SWEEPS)
     factors = _scale_to_norm(factors, y_norm)
-    model, _, _, iters, _, _ = _lm_single(factors, op, y, config, rank + 1)
-    return _truncate(model.factors, rank), iters
+    run = _lm_single(factors, op, y, config, rank + 1)
+    return _truncate(run.model.factors, rank), run
 
 
 def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
@@ -259,9 +272,10 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     rank = config.rank
 
     best: RecoveryReport | None = None
+    total_iters = 0
     for k in range(config.restarts):
         restart_seed = mix(config.seed, k)
-        stage_results = []
+        stage_runs = []
         extra_iters = 0
         for stage in range(1 + _N_LADDER_STAGES):
             rng = np.random.default_rng(mix(restart_seed, stage))
@@ -269,23 +283,25 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
                 if stage == 0:
                     factors = _random_start(op, y, y_norm, rank, rng)
                 else:
-                    factors, ladder_iters = _ladder_start(op, y, y_norm, rank,
-                                                          rng, config)
-                    extra_iters += ladder_iters
-                stage_results.append(_lm_single(factors, op, y, config, rank))
+                    factors, ladder = _ladder_start(op, y, y_norm, rank, rng,
+                                                    config)
+                    extra_iters += ladder.iterations
+                    total_iters += ladder.iterations
+                run = _lm_single(factors, op, y, config, rank)
             except np.linalg.LinAlgError:
                 continue
-            if stage_results[-1][1] <= floor:
+            total_iters += run.iterations
+            stage_runs.append(run)
+            if run.objective <= floor:
                 break
-        if not stage_results:
+        if not stage_runs:
             continue
-        model, f_val, trace, iters, converged, status = min(
-            stage_results, key=lambda s: s[1])
-        report = RecoveryReport(model=model, objective=f_val,
-                                objective_trace=trace,
-                                iterations=iters + extra_iters,
-                                converged=converged, restart_index=k,
-                                status=status)
+        won = min(stage_runs, key=lambda s: s.objective)
+        report = RecoveryReport(model=won.model, objective=won.objective,
+                                objective_trace=won.trace,
+                                iterations=won.iterations + extra_iters,
+                                converged=won.converged, restart_index=k,
+                                status=won.status)
         if best is None or report.objective < best.objective:
             best = report
         if best.objective <= floor:
@@ -298,6 +314,7 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
                               objective_trace=[float(np.dot(y, y))],
                               iterations=0, converged=False, restart_index=0,
                               status=STATUS_STALLED)
+    best.total_iterations = total_iters
     if ground_truth is not None:
         best.mse = mse(ground_truth, reconstruct(best.model))
     return best

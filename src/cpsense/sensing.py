@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,24 @@ class SensingOperator:
     @property
     def signal_size(self) -> int:
         return int(np.prod(self.shape))
+
+    @cached_property
+    def mode_unfoldings(self) -> tuple[np.ndarray, ...]:
+        """Per mode n, Phi permuted to an (M * I_n) x (J / I_n) matrix.
+
+        Row (m, i) and column c hold Phi[m, j], where j is the C-order index
+        of the entry whose mode-n index is i and whose other mode indices,
+        in C order, make c.  Built on first use only: mode 0 is a view of
+        Phi, every other mode is a copy of it.
+        """
+        out = []
+        for n, i_n in enumerate(self.shape):
+            before = math.prod(self.shape[:n])
+            perm = self.matrix.reshape(self.m, before, i_n, -1).transpose(0, 2, 1, 3)
+            unfolding = perm.reshape(self.m * i_n, -1)
+            unfolding.setflags(write=False)
+            out.append(unfolding)
+        return tuple(out)
 
 
 def create_operator(m: int, shape, distribution: str = GAUSSIAN,

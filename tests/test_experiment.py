@@ -97,6 +97,38 @@ class TestMeasurementCount:
                              kappa_grid=(1.0, 10.0, 100.0), m=(40, 60))
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("changes, message", [
+        ({"rank": 0}, "rank must be >= 1"),
+        ({"dims": (4, 2, 4)}, "every dimension must be >= rank"),
+        ({"kappa_grid": (1.0, 10.0, 1.0)}, "repeats a value"),
+        ({"m": (40, 0)}, "explicit m must be >= 1"),
+        ({"m_factor": 0.0}, "m_factor must be > 0"),
+        ({"m_factor": -1.5}, "m_factor must be > 0"),
+    ])
+    def test_bad_config_rejected(self, changes, message):
+        fields = {"dims": (4, 4, 4), "rank": 3, "kappa_grid": (1.0, 10.0)}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{**fields, **changes})
+
+    def test_cli_rejects_rank_above_dims(self, tmp_path, capsys):
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text("dims = 2,2,2\nrank = 3\nkappa_grid = 1\n"
+                               "trials = 3\n")
+        assert cli.main(["experiment", "--config", str(config_path),
+                         "--out", str(tmp_path / "run")]) != 0
+        assert "every dimension must be >= rank" in capsys.readouterr().err
+        assert not (tmp_path / "run_rows.csv").exists()
+
+    def test_fault_in_recovery_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setattr(experiment, "recover", broken)
+        with pytest.raises(RuntimeError, match="solver fault"):
+            run_trial(parse_config(FAST), 0, 0)
+
+
 class TestRunTrial:
     def test_deterministic_modulo_wall_time(self):
         config = parse_config(FAST)

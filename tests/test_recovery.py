@@ -1,6 +1,9 @@
+import string
+
 import numpy as np
 import pytest
 
+from cpsense import recovery
 from cpsense.recovery import (
     RecoveryConfig,
     RecoveryReport,
@@ -12,8 +15,9 @@ from cpsense.recovery import (
     _pack,
     _unpack,
 )
-from cpsense.sensing import apply, create_operator
+from cpsense.sensing import adjoint_apply, apply, create_operator
 from cpsense.conditioning import generate_conditioned_model
+from cpsense.theory_bounds import rip_probe
 from cpsense.tensor_core import CpModel, DimensionMismatch, mse, reconstruct
 
 
@@ -76,6 +80,60 @@ class TestResidualJacobian:
         model = _random_model((2, 3, 3), 2, 12)
         with pytest.raises(DimensionMismatch):
             residual_jacobian(model, op, np.zeros(10))
+
+    @staticmethod
+    def _einsum_jacobian(model, op):
+        """Block n holds -sum over the other modes of Phi times their factors,
+        with columns ordered (f, i) as _pack orders A_n."""
+        letters = string.ascii_lowercase[:model.order]
+        phi = op.matrix.reshape((op.m,) + op.shape)
+        blocks = []
+        for n, a in enumerate(model.factors):
+            others = [b for k, b in enumerate(model.factors) if k != n]
+            spec = ("m" + letters + ","
+                    + ",".join(c + "z" for k, c in enumerate(letters) if k != n)
+                    + "->mz" + letters[n])
+            t = np.einsum(spec, phi, *others)
+            blocks.append(-t.reshape(op.m, a.size))
+        return np.hstack(blocks)
+
+    @pytest.mark.parametrize("dims", [(3, 4), (1, 5), (3, 1, 4), (2, 3, 2),
+                                      (1, 1, 3), (2, 1, 3, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_einsum_oracle(self, dims, rank):
+        op = create_operator(9, dims, seed=sum(dims) + rank)
+        model = _random_model(dims, rank, 31 * rank + len(dims))
+        y = np.random.default_rng(rank).standard_normal(op.m)
+        r, jac = residual_jacobian(model, op, y)
+        oracle = self._einsum_jacobian(model, op)
+        assert jac.shape == oracle.shape
+        assert np.max(np.abs(jac - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        direct = y - op.matrix @ reconstruct(model).ravel()
+        assert np.linalg.norm(r - direct) <= 1e-12 * max(
+            np.linalg.norm(direct), np.linalg.norm(y))
+
+
+class TestModeUnfoldings:
+    def test_built_only_on_first_jacobian(self):
+        op = create_operator(30, (3, 4, 2), seed=40)
+        x = _random_model((3, 4, 2), 2, 41)
+        apply(op, reconstruct(x))
+        adjoint_apply(op, np.ones(op.m))
+        rip_probe(op, 2, 2.0, 5, 42)
+        assert "mode_unfoldings" not in vars(op)
+        residual_jacobian(x, op, np.zeros(op.m))
+        assert "mode_unfoldings" in vars(op)
+
+    def test_layout(self):
+        op = create_operator(5, (2, 3, 4), seed=43)
+        phi = op.matrix.reshape(5, 2, 3, 4)
+        u0, u1, u2 = op.mode_unfoldings
+        assert np.shares_memory(u0, op.matrix)
+        assert u1.shape == (5 * 3, 2 * 4) and u2.shape == (5 * 4, 2 * 3)
+        # row (m, i), column: the other modes' indices in C order
+        assert u0[4 * 2 + 1, 2 * 4 + 3] == phi[4, 1, 2, 3]
+        assert u1[4 * 3 + 2, 1 * 4 + 3] == phi[4, 1, 2, 3]
+        assert u2[4 * 4 + 3, 1 * 3 + 2] == phi[4, 1, 2, 3]
 
 
 class TestPacking:
@@ -152,6 +210,25 @@ class TestRecover:
         op = create_operator(20, (3, 3, 3), seed=30)
         with pytest.raises(DimensionMismatch):
             recover(op, np.zeros(19), RecoveryConfig(rank=1))
+
+    def test_total_iterations_counts_every_lm_run(self, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(lm_single(*args, **kwargs))
+            return runs[-1]
+
+        lm_single = recovery._lm_single
+        monkeypatch.setattr(recovery, "_lm_single", counted)
+        # an instance whose first restart fails: every stage and a second
+        # restart run, and the ladder stages fit at rank F + 1 = 3
+        truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
+        op = create_operator(36, (4, 4, 4), seed=100)
+        report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=200))
+        assert report.restart_index >= 1
+        assert any(r.model.rank == 3 for r in runs)
+        assert report.total_iterations == sum(r.iterations for r in runs)
+        assert report.total_iterations >= report.iterations
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
