@@ -121,8 +121,9 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
         raise DimensionMismatch(f"need rows >= cols, got {rows} < {cols}")
     if cols < 1:
         raise DimensionMismatch("cols must be >= 1")
-    if kappa_target < 1.0:
-        raise ValueError(f"condition number target must be >= 1, got {kappa_target}")
+    if not 1.0 <= kappa_target < math.inf:
+        raise ValueError(
+            f"condition number target must be finite and >= 1, got {kappa_target}")
     rng = np.random.default_rng(rng_seed)
     a = rng.random((rows, cols))
     u, _, vt = np.linalg.svd(a, full_matrices=False)

@@ -25,6 +25,31 @@ def _write_values(lines: list[str], values: np.ndarray, per_line: int = 8) -> No
         lines.append(" ".join(_fmt(v) for v in flat[start:start + per_line]))
 
 
+def _header_ints(tokens: list[str], pos: int, count: int,
+                 header: str) -> list[int]:
+    """The `count` non-negative integers at tokens[pos:pos + count] of a header."""
+    fields = tokens[pos:pos + count]
+    try:
+        values = [int(t) for t in fields]
+    except ValueError:
+        values = []
+    if len(values) != count or any(v < 0 for v in values):
+        raise FormatError(
+            f"'{header}' header needs {count} non-negative integer(s), "
+            f"got {fields}")
+    return values
+
+
+def _read_values(tokens: list[str]) -> np.ndarray:
+    try:
+        values = np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    if not np.all(np.isfinite(values)):
+        raise FormatError("values must be finite")
+    return values
+
+
 def write_tensor(path, x: np.ndarray) -> None:
     x = np.asarray(x, dtype=float)
     dims = check_shape(x.shape)
@@ -39,9 +64,9 @@ def read_tensor(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens or tokens[0] != "tensor":
         raise FormatError("expected a 'tensor' header")
-    order = int(tokens[1])
-    dims = tuple(int(t) for t in tokens[2:2 + order])
-    values = np.array([float(t) for t in tokens[2 + order:]])
+    order, = _header_ints(tokens, 1, 1, "tensor")
+    dims = tuple(_header_ints(tokens, 2, order, "tensor"))
+    values = _read_values(tokens[2 + order:])
     if values.size != int(np.prod(dims)):
         raise FormatError(
             f"expected {int(np.prod(dims))} values, got {values.size}")
@@ -62,11 +87,11 @@ def _factor_lines(a: np.ndarray) -> list[str]:
 
 
 def _read_factor_tokens(tokens: list[str], pos: int) -> tuple[np.ndarray, int]:
-    if tokens[pos] != "factor":
+    if pos >= len(tokens) or tokens[pos] != "factor":
         raise FormatError("expected a 'factor' header")
-    rows, cols = int(tokens[pos + 1]), int(tokens[pos + 2])
+    rows, cols = _header_ints(tokens, pos + 1, 2, "factor")
     count = rows * cols
-    values = np.array([float(t) for t in tokens[pos + 3:pos + 3 + count]])
+    values = _read_values(tokens[pos + 3:pos + 3 + count])
     if values.size != count:
         raise FormatError(f"expected {count} factor values, got {values.size}")
     return values.reshape(rows, cols), pos + 3 + count
@@ -94,7 +119,7 @@ def read_cpmodel(path) -> CpModel:
         tokens = fh.read().split()
     if not tokens or tokens[0] != "cpmodel":
         raise FormatError("expected a 'cpmodel' header")
-    order, rank = int(tokens[1]), int(tokens[2])
+    order, rank = _header_ints(tokens, 1, 2, "cpmodel")
     pos = 3
     factors = []
     for _ in range(order):
@@ -121,8 +146,8 @@ def read_measurements(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens or tokens[0] != "measurements":
         raise FormatError("expected a 'measurements' header")
-    m = int(tokens[1])
-    values = np.array([float(t) for t in tokens[2:]])
+    m, = _header_ints(tokens, 1, 1, "measurements")
+    values = _read_values(tokens[2:])
     if values.size != m:
         raise FormatError(f"expected {m} measurements, got {values.size}")
     return values

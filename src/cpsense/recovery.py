@@ -60,7 +60,6 @@ class RecoveryConfig:
     rel_obj_tol: float = 2.2e-16
     restarts: int = 5
     damping_init_scale: float = 1e-3
-    damping_factor: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -159,9 +158,17 @@ def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
 
 def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
                config: RecoveryConfig, rank: int) -> LmRun:
-    """One damped Gauss-Newton run from the given factors."""
+    """One damped Gauss-Newton run from the given factors.
+
+    The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
+    Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
+    sec. 3.2): an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3),
+    where rho is the measured decrease over the decrease the linear model
+    predicts, and resets nu to 2; a rejected try scales mu by nu and
+    doubles nu.  A step so small that x - delta rounds back to x ends the
+    run as stalled.
+    """
     dims = op.shape
-    nu = config.damping_factor
     x = _pack(factors0)
     model = _unpack(x, dims, rank)
     r, jac = residual_jacobian(model, op, y)
@@ -171,6 +178,7 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
         return LmRun(model, f_val, trace, 0, STATUS_CONVERGED)
 
     mu = config.damping_init_scale
+    nu = 2.0
     on_diag = np.diag_indices(x.size)
     status = STATUS_MAX_ITERS
     it = 0
@@ -180,6 +188,8 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
         diag = np.diag(jtj)
         dmax = max(float(diag.max()), np.finfo(float).tiny)
         shift = np.maximum(diag, _DIAG_FLOOR * dmax)
+        # below this length, x - delta rounds back to (about) x
+        min_step = np.finfo(float).eps * float(np.linalg.norm(x))
         accepted = False
         for _ in range(_MAX_DAMPING_RETRIES):
             damped = jtj.copy()
@@ -189,14 +199,24 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
+                if float(np.linalg.norm(delta)) <= min_step:
+                    break
                 x_new = x - delta
                 trial = _unpack(x_new, dims, rank)
                 f_new = objective(trial, op, y)
                 if f_new < f_val:
                     accepted = True
-                    mu /= nu
+                    gain = f_val - f_new
+                    # decrease of ||r - J delta||^2 from ||r||^2
+                    predicted = float(delta @ g + mu * (shift * delta) @ delta)
+                    # rho >= 1 (or a prediction lost to rounding) gets the
+                    # largest cut, 1/3, so clipping rho at 1 changes nothing
+                    rho = gain / predicted if gain < predicted else 1.0
+                    mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                    nu = 2.0
                     break
             mu *= nu
+            nu *= 2.0
         if not accepted:
             status = STATUS_STALLED
             break

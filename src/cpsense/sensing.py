@@ -17,12 +17,14 @@ RADEMACHER = "rademacher"
 MAX_ENTRIES = 200_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingOperator:
     """Dense M x prod(I_n) random matrix with i.i.d. variance-alpha/M entries.
 
     Regenerating from (m, shape, distribution, alpha, seed) is bit-identical;
-    the matrix is materialized once at construction.
+    the matrix is materialized once at construction.  Operators compare and
+    hash by identity: a field-wise comparison would compare the matrix
+    arrays, which have no single truth value.
     """
 
     m: int

@@ -160,6 +160,11 @@ class TestGenerateConditionedFactor:
         with pytest.raises(ValueError):
             generate_conditioned_factor(3, 2, 0.5, 0)
 
+    @pytest.mark.parametrize("target", [np.inf, np.nan])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="finite"):
+            generate_conditioned_factor(3, 2, target, 0)
+
 
 class TestGenerateConditionedModel:
     def test_cond_one_everywhere(self):

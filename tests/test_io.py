@@ -39,6 +39,14 @@ class TestTensorRoundTrip:
         with pytest.raises(FormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("text", ["tensor 2 -2 -2\n1 2 3 4\n",
+                                      "tensor -1\n", "tensor 2 2\n"])
+    def test_bad_dimensions(self, tmp_path, text):
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="non-negative integer"):
+            read_tensor(path)
+
 
 class TestFactorRoundTrip:
     def test_exact(self, tmp_path):
@@ -88,6 +96,23 @@ class TestMeasurementsRoundTrip:
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "y.txt"
         path.write_text("measurements 3\n1 2\n")
+        with pytest.raises(FormatError):
+            read_measurements(path)
+
+    @pytest.mark.parametrize("text", ["measurements", "measurements 2.5\n1 2\n",
+                                      "measurements x\n"])
+    def test_missing_or_non_integer_count(self, tmp_path, text):
+        path = tmp_path / "y.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="non-negative integer"):
+            read_measurements(path)
+
+    @pytest.mark.parametrize("text", ["measurements 2\nnan inf\n",
+                                      "measurements 1\n-inf\n",
+                                      "measurements 1\none\n"])
+    def test_non_finite_or_non_numeric_values(self, tmp_path, text):
+        path = tmp_path / "y.txt"
+        path.write_text(text)
         with pytest.raises(FormatError):
             read_measurements(path)
 

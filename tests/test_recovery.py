@@ -150,6 +150,47 @@ class TestPacking:
         assert x[1 * 3 + 2] == a[2, 1]
 
 
+class TestLmSingle:
+    def test_stalled_run_keeps_damping_finite_and_never_raises_objective(
+            self, monkeypatch):
+        # a planted instance: the run reaches the numerical floor, where
+        # steps shrink to nothing and the damping would otherwise grow
+        truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 1.0, 0))
+        op = create_operator(24, (3, 3, 3), seed=10)
+        y = apply(op, truth)
+        rng = np.random.default_rng(0)
+        start = [rng.standard_normal((3, 2)) for _ in range(3)]
+        damped_finite, tries = [], []
+        solve = np.linalg.solve
+
+        def recorded_solve(a, b):
+            damped_finite.append(bool(np.all(np.isfinite(a))))
+            return solve(a, b)
+
+        def recorded_objective(*args):
+            tries.append(objective(*args))
+            return tries[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        monkeypatch.setattr(recovery, "objective", recorded_objective)
+        run = recovery._lm_single(start, op, y,
+                                  RecoveryConfig(rank=2, max_iters=2000), 2)
+        assert run.status == STATUS_STALLED
+        assert run.objective < 1e-20
+        # mu * shift sits on the diagonal of every damped system
+        assert damped_finite and all(damped_finite)
+        # exactly the tries below the current objective were accepted
+        accepted, current = [], run.trace[0]
+        for f_try in tries:
+            if f_try < current:
+                accepted.append(f_try)
+                current = f_try
+        assert accepted == run.trace[1:]
+        # the negligible-step test, not the retry cap, ended the run
+        after_last = len(tries) - tries.index(run.trace[-1]) - 1
+        assert after_last < recovery._MAX_DAMPING_RETRIES
+
+
 class TestRecover:
     def test_zero_measurements(self):
         op = create_operator(20, (3, 3, 3), seed=14)
@@ -223,7 +264,7 @@ class TestRecover:
         # an instance whose first restart fails: every stage and a second
         # restart run, and the ladder stages fit at rank F + 1 = 3
         truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
-        op = create_operator(36, (4, 4, 4), seed=100)
+        op = create_operator(36, (4, 4, 4), seed=103)
         report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=200))
         assert report.restart_index >= 1
         assert any(r.model.rank == 3 for r in runs)

@@ -30,6 +30,12 @@ class TestCreateOperator:
         with pytest.raises(ValueError, match="smaller instance"):
             create_operator(10**6, (1000, 1000), seed=0)
 
+    def test_compares_and_hashes_by_identity(self):
+        a = create_operator(20, (4, 5), seed=77)
+        b = create_operator(20, (4, 5), seed=77)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             create_operator(0, (4, 5))
