@@ -10,16 +10,9 @@ import math
 import sys
 
 from . import conditioning, experiment, io_text, sensing, theory_bounds
+from .io_text import format_float, parse_list
 from .recovery import RecoveryConfig, recover
 from .tensor_core import reconstruct
-
-
-def _dims(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _cmd_gen(args) -> int:
@@ -33,11 +26,11 @@ def _cmd_gen(args) -> int:
 def _cmd_kappa(args) -> int:
     report = conditioning.kappa(io_text.read_cpmodel(args.model))
     print(f"status={report.status}")
-    print(f"kappa={_fmt(report.kappa)}")
-    print(f"sigma_max_product={_fmt(report.sigma_max_product)}")
-    print(f"sigma_min_kr={_fmt(report.sigma_min_kr)}")
+    print(f"kappa={format_float(report.kappa)}")
+    print(f"sigma_max_product={format_float(report.sigma_max_product)}")
+    print(f"sigma_min_kr={format_float(report.sigma_min_kr)}")
     if report.cond_product_bound is not None:
-        print(f"cond_product_bound={_fmt(report.cond_product_bound)}")
+        print(f"cond_product_bound={format_float(report.cond_product_bound)}")
     else:
         print("cond_product_bound=unavailable")
     return 0
@@ -62,15 +55,15 @@ def _cmd_recover(args) -> int:
     report = recover(op, y, config, ground_truth=truth)
     io_text.write_cpmodel(args.out, report.model)
     lines = [
-        f"objective={_fmt(report.objective)}",
+        f"objective={format_float(report.objective)}",
         f"iterations={report.iterations}",
         f"converged={'true' if report.converged else 'false'}",
         f"status={report.status}",
         f"restart_index={report.restart_index}",
     ]
     if report.mse is not None:
-        lines.append(f"mse={_fmt(report.mse)}")
-    lines.append("trace=" + ",".join(_fmt(v) for v in report.objective_trace))
+        lines.append(f"mse={format_float(report.mse)}")
+    lines.append("trace=" + ",".join(format_float(v) for v in report.objective_trace))
     text = "\n".join(lines)
     if args.report:
         with open(args.report, "w") as fh:
@@ -85,11 +78,11 @@ def _cmd_bound(args) -> int:
                                        alpha=args.alpha, c=args.C,
                                        delta=args.delta)
     t1 = theory_bounds.theorem1_measurement_bound(inputs)
-    print(f"theorem1_bound={_fmt(t1)}")
+    print(f"theorem1_bound={format_float(t1)}")
     print(f"theorem1_suggested_m={math.ceil(t1)}")
     if args.delta is not None:
         p2 = theory_bounds.prop2_measurement_bound(inputs)
-        print(f"prop2_bound={_fmt(p2)}")
+        print(f"prop2_bound={format_float(p2)}")
         print(f"prop2_suggested_m={math.ceil(p2)}")
     return 0
 
@@ -97,7 +90,7 @@ def _cmd_bound(args) -> int:
 def _cmd_cover(args) -> int:
     value = theory_bounds.covering_log_cardinality(args.dims, args.rank,
                                                    args.tau, args.eps)
-    print(f"covering_log_cardinality={_fmt(value)}")
+    print(f"covering_log_cardinality={format_float(value)}")
     return 0
 
 
@@ -107,10 +100,10 @@ def _cmd_rip_probe(args) -> int:
     result = theory_bounds.rip_probe(op, args.rank, args.kappa, args.samples,
                                      args.seed)
     print(f"samples={result.samples}")
-    print(f"mean_ratio={_fmt(result.mean_ratio)}")
-    print(f"min_ratio={_fmt(result.min_ratio)}")
-    print(f"max_ratio={_fmt(result.max_ratio)}")
-    print(f"delta_hat={_fmt(result.delta_hat)}")
+    print(f"mean_ratio={format_float(result.mean_ratio)}")
+    print(f"min_ratio={format_float(result.min_ratio)}")
+    print(f"max_ratio={format_float(result.max_ratio)}")
+    print(f"delta_hat={format_float(result.delta_hat)}")
     return 0
 
 
@@ -119,7 +112,7 @@ def _cmd_experiment(args) -> int:
     rows, summary = experiment.run_experiment(config)
     rows_path, summary_path = experiment.write_csv(rows, summary, args.out)
     for s in summary:
-        print(f"kappa_tilde={_fmt(s.kappa_tilde)} m={s.m} "
+        print(f"kappa_tilde={format_float(s.kappa_tilde)} m={s.m} "
               f"successes={s.success_count}/{s.trials}")
     print(f"wrote {rows_path} and {summary_path}")
     if args.plot_script:
@@ -144,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a conditioned CP model")
-    p.add_argument("--dims", type=_dims, required=True)
+    p.add_argument("--dims", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
@@ -170,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--op-seed", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--shape", type=_dims, required=True)
+    p.add_argument("--shape", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--dist", choices=[sensing.GAUSSIAN, sensing.RADEMACHER],
@@ -185,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("bound", help="measurement-count bound calculators")
-    p.add_argument("--dims", type=_dims, required=True)
+    p.add_argument("--dims", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.01)
@@ -195,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("cover", help="log covering-number bound")
-    p.add_argument("--dims", type=_dims, required=True)
+    p.add_argument("--dims", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("rip-probe", help="empirical isometry probe")
-    p.add_argument("--dims", type=_dims, required=True)
+    p.add_argument("--dims", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)

@@ -73,20 +73,13 @@ def kappa(model: CpModel) -> KappaReport:
     smin_kr = float(s_chain[-1])
     # same rank tolerance as numpy.linalg.matrix_rank
     tol = float(s_chain[0]) * max(chain.shape) * np.finfo(float).eps
-    if smin_kr <= tol:
-        return KappaReport(
-            kappa=math.inf,
-            sigma_max_product=smax_prod,
-            sigma_min_kr=smin_kr,
-            cond_product_bound=cond_prod if full_rank else None,
-            status=KAPPA_INFINITE,
-        )
+    singular = smin_kr <= tol
     return KappaReport(
-        kappa=smax_prod / smin_kr,
+        kappa=math.inf if singular else smax_prod / smin_kr,
         sigma_max_product=smax_prod,
         sigma_min_kr=smin_kr,
         cond_product_bound=cond_prod if full_rank else None,
-        status=KAPPA_FINITE,
+        status=KAPPA_INFINITE if singular else KAPPA_FINITE,
     )
 
 

@@ -12,11 +12,12 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conditioning import generate_conditioned_model, kappa
+from .io_text import format_float, parse_list
 from .recovery import RecoveryConfig, recover, residual_jacobian
 from .seeding import mix
 from .sensing import GAUSSIAN, create_operator
@@ -142,15 +143,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"unknown preset {preset_name!r}")
         fields.update(PRESETS[preset_name])
 
-    def ints(s): return tuple(int(v) for v in s.split(","))
-    def floats(s): return tuple(float(v) for v in s.split(","))
-
     converters = {
-        "dims": ints,
+        "dims": parse_list,
         "rank": int,
-        "kappa_grid": floats,
+        "kappa_grid": lambda s: parse_list(s, float),
         "trials": int,
-        "m": ints,
+        "m": parse_list,
         "m_factor": float,
         "alpha": float,
         "distribution": str,
@@ -176,8 +174,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> ExperimentRow:
-    """One seeded trial.  A singular system (`LinAlgError`) is recorded as a
-    failed recovery; any other exception is a fault and propagates."""
+    """One seeded trial.  Any exception from `recover` propagates."""
     kappa_tilde = config.kappa_grid[grid_index]
     m = config.m_for(grid_index)
     trial_seed = mix(mix(config.base_seed, grid_index), trial_index)
@@ -191,18 +188,13 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Ex
     solver = RecoveryConfig(rank=config.rank, max_iters=config.max_iters,
                             restarts=config.restarts,
                             seed=mix(trial_seed, _SOLVER_STREAM))
-    try:
-        report = recover(op, y, solver, ground_truth=truth)
-    except np.linalg.LinAlgError:
-        trial_mse, iterations = math.inf, 0
-    else:
-        trial_mse, iterations = report.mse, report.iterations
+    report = recover(op, y, solver, ground_truth=truth)
     elapsed = time.perf_counter() - start
     return ExperimentRow(
         kappa_tilde=kappa_tilde, m=m, trial_index=trial_index,
-        seed_used=trial_seed, mse=trial_mse,
-        success=trial_mse < config.success_mse_threshold,
-        iterations=iterations, wall_time_seconds=elapsed)
+        seed_used=trial_seed, mse=report.mse,
+        success=report.mse < config.success_mse_threshold,
+        iterations=report.iterations, wall_time_seconds=elapsed)
 
 
 def summarize(config: ExperimentConfig, rows: list[ExperimentRow]) -> list[GridSummary]:
@@ -231,10 +223,6 @@ def run_experiment(config: ExperimentConfig,
     return rows, summarize(config, rows)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(rows: list[ExperimentRow], summary: list[GridSummary],
               path_prefix: str) -> tuple[str, str]:
     if not rows:
@@ -245,32 +233,19 @@ def write_csv(rows: list[ExperimentRow], summary: list[GridSummary],
         writer = csv.writer(fh)
         writer.writerow(ROWS_HEADER)
         for r in rows:
-            writer.writerow([_fmt(r.kappa_tilde), r.m, r.trial_index, r.seed_used,
-                             _fmt(r.mse), "true" if r.success else "false",
-                             r.iterations, _fmt(r.wall_time_seconds)])
+            writer.writerow([format_float(r.kappa_tilde), r.m, r.trial_index,
+                             r.seed_used, format_float(r.mse),
+                             "true" if r.success else "false", r.iterations,
+                             format_float(r.wall_time_seconds)])
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
         for s in summary:
-            writer.writerow([_fmt(s.kappa_tilde), s.m, s.trials, s.success_count,
-                             _fmt(s.success_rate), _fmt(s.median_mse),
-                             _fmt(s.mean_iterations)])
+            writer.writerow([format_float(s.kappa_tilde), s.m, s.trials,
+                             s.success_count, format_float(s.success_rate),
+                             format_float(s.median_mse),
+                             format_float(s.mean_iterations)])
     return rows_path, summary_path
-
-
-def read_summary_csv(path) -> list[GridSummary]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SUMMARY_HEADER:
-            raise ValueError(f"unexpected summary header {header}")
-        for rec in reader:
-            out.append(GridSummary(
-                kappa_tilde=float(rec[0]), m=int(rec[1]), trials=int(rec[2]),
-                success_count=int(rec[3]), success_rate=float(rec[4]),
-                median_mse=float(rec[5]), mean_iterations=float(rec[6])))
-    return out
 
 
 def emit_plot_script(summary_csv_path: str, out_path: str) -> None:

@@ -15,14 +15,20 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
-def _fmt(v: float) -> str:
+def format_float(v: float) -> str:
+    """`v` with 17 significant digits, enough to read back the same double."""
     return format(float(v), ".17g")
+
+
+def parse_list(text: str, convert=int) -> tuple:
+    """The comma-separated values of `text`, each passed through `convert`."""
+    return tuple(convert(v) for v in text.split(","))
 
 
 def _write_values(lines: list[str], values: np.ndarray, per_line: int = 8) -> None:
     flat = values.ravel()
     for start in range(0, flat.size, per_line):
-        lines.append(" ".join(_fmt(v) for v in flat[start:start + per_line]))
+        lines.append(" ".join(format_float(v) for v in flat[start:start + per_line]))
 
 
 def _header_ints(tokens: list[str], pos: int, count: int,
@@ -66,6 +72,9 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError("expected a 'tensor' header")
     order, = _header_ints(tokens, 1, 1, "tensor")
     dims = tuple(_header_ints(tokens, 2, order, "tensor"))
+    if order < 2 or min(dims) < 1:
+        raise FormatError(
+            f"a tensor needs order >= 2 and every dim >= 1, got {dims}")
     values = _read_values(tokens[2 + order:])
     if values.size != int(np.prod(dims)):
         raise FormatError(

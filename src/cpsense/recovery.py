@@ -51,27 +51,28 @@ _DIAG_FLOOR = 1e-12
 _STAGE_SUCCESS_REL = 1e-12
 _N_LADDER_STAGES = 3
 _ALS_INIT_SWEEPS = 30
+# a run converges once an accepted step lowers the objective by less than
+# this fraction of it
+_REL_OBJ_TOL = 2.2e-16
+# initial LM damping mu
+_DAMPING_INIT = 1e-3
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
     rank: int
     max_iters: int = 500
-    rel_obj_tol: float = 2.2e-16
     restarts: int = 5
-    damping_init_scale: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.rel_obj_tol <= 0 or self.damping_init_scale <= 0:
-            raise ValueError("tolerances must be > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryReport:
     """Outcome of `recover`: the best restart's model and how it was reached.
 
@@ -85,11 +86,14 @@ class RecoveryReport:
     objective: float
     objective_trace: list[float]
     iterations: int
-    converged: bool
     restart_index: int
     status: str
-    mse: float | None = None
-    total_iterations: int = 0
+    mse: float | None
+    total_iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.status == STATUS_CONVERGED
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,6 @@ class LmRun:
     trace: list[float]
     iterations: int
     status: str
-
-    @property
-    def converged(self) -> bool:
-        return self.status == STATUS_CONVERGED
 
 
 def objective(model: CpModel, op: SensingOperator, y: np.ndarray) -> float:
@@ -177,7 +177,7 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     if f_val == 0.0:
         return LmRun(model, f_val, trace, 0, STATUS_CONVERGED)
 
-    mu = config.damping_init_scale
+    mu = _DAMPING_INIT
     nu = 2.0
     on_diag = np.diag_indices(x.size)
     status = STATUS_MAX_ITERS
@@ -223,7 +223,7 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
         rel_change = (f_val - f_new) / f_val
         x, model, f_val = x_new, trial, f_new
         trace.append(f_val)
-        if f_val == 0.0 or rel_change < config.rel_obj_tol:
+        if f_val == 0.0 or rel_change < _REL_OBJ_TOL:
             status = STATUS_CONVERGED
             break
         r, jac = residual_jacobian(model, op, y)
@@ -263,7 +263,7 @@ def _truncate(factors, rank: int):
     return [a[:, keep].copy() for a in factors]
 
 
-def _random_start(op, y, y_norm, rank, rng):
+def _random_start(op, y_norm, rank, rng):
     factors = [rng.standard_normal((d, rank)) for d in op.shape]
     return _scale_to_norm(factors, y_norm)
 
@@ -283,6 +283,8 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
 
     The best restart by final objective wins (ties: lowest restart index);
     remaining restarts are skipped once one reaches the numerical floor.
+    A ladder stage whose ALS fit raises `LinAlgError` is skipped; the random
+    start always runs, so every restart has a stage to pick from.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.size != op.m:
@@ -291,50 +293,39 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     floor = _STAGE_SUCCESS_REL * max(1.0, y_norm ** 2)
     rank = config.rank
 
-    best: RecoveryReport | None = None
-    total_iters = 0
+    best: LmRun | None = None
+    best_restart = best_iters = total_iters = 0
     for k in range(config.restarts):
         restart_seed = mix(config.seed, k)
         stage_runs = []
-        extra_iters = 0
+        ladder_iters = 0
         for stage in range(1 + _N_LADDER_STAGES):
             rng = np.random.default_rng(mix(restart_seed, stage))
-            try:
-                if stage == 0:
-                    factors = _random_start(op, y, y_norm, rank, rng)
-                else:
+            if stage == 0:
+                factors = _random_start(op, y_norm, rank, rng)
+            else:
+                try:
                     factors, ladder = _ladder_start(op, y, y_norm, rank, rng,
                                                     config)
-                    extra_iters += ladder.iterations
-                    total_iters += ladder.iterations
-                run = _lm_single(factors, op, y, config, rank)
-            except np.linalg.LinAlgError:
-                continue
-            total_iters += run.iterations
+                except np.linalg.LinAlgError:  # the ALS lstsq did not converge
+                    continue
+                ladder_iters += ladder.iterations
+            run = _lm_single(factors, op, y, config, rank)
             stage_runs.append(run)
             if run.objective <= floor:
                 break
-        if not stage_runs:
-            continue
+        total_iters += ladder_iters + sum(r.iterations for r in stage_runs)
         won = min(stage_runs, key=lambda s: s.objective)
-        report = RecoveryReport(model=won.model, objective=won.objective,
-                                objective_trace=won.trace,
-                                iterations=won.iterations + extra_iters,
-                                converged=won.converged, restart_index=k,
-                                status=won.status)
-        if best is None or report.objective < best.objective:
-            best = report
+        if best is None or won.objective < best.objective:
+            best, best_restart = won, k
+            best_iters = won.iterations + ladder_iters
         if best.objective <= floor:
             break
 
-    if best is None:
-        # every restart failed to produce a solvable system
-        zero = CpModel(tuple(np.zeros((d, rank)) for d in op.shape))
-        best = RecoveryReport(model=zero, objective=float(np.dot(y, y)),
-                              objective_trace=[float(np.dot(y, y))],
-                              iterations=0, converged=False, restart_index=0,
-                              status=STATUS_STALLED)
-    best.total_iterations = total_iters
-    if ground_truth is not None:
-        best.mse = mse(ground_truth, reconstruct(best.model))
-    return best
+    return RecoveryReport(
+        model=best.model, objective=best.objective,
+        objective_trace=best.trace, iterations=best_iters,
+        restart_index=best_restart, status=best.status,
+        mse=None if ground_truth is None
+        else mse(ground_truth, reconstruct(best.model)),
+        total_iterations=total_iters)

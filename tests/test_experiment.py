@@ -1,3 +1,4 @@
+import csv
 import math
 import shutil
 import subprocess
@@ -11,7 +12,6 @@ from cpsense.experiment import (
     ExperimentConfig,
     PAPER_FIG1_PRESET,
     parse_config,
-    read_summary_csv,
     run_experiment,
     run_trial,
     summarize,
@@ -182,14 +182,13 @@ class TestCsv:
         assert len(lines) == 1 + len(rows)
         assert all(line.split(",")[5] in ("true", "false")
                    for line in lines[1:])
-        again = read_summary_csv(summary_path)
-        assert again == summary
-
-    def test_bad_summary_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_summary_csv(path)
+        with open(summary_path, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records[0] == experiment.SUMMARY_HEADER
+        assert len(records) == 1 + len(config.kappa_grid)
+        successes = experiment.SUMMARY_HEADER.index("successes")
+        assert [int(rec[successes]) for rec in records[1:]] == \
+               [s.success_count for s in summary]
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -260,6 +259,10 @@ class TestCli:
                          "--seed", "3", "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "objective=" in out and "trace=" in out
+        fields = dict(line.split("=", 1) for line in out.splitlines()
+                      if "=" in line)
+        assert fields["converged"] == (
+            "true" if fields["status"] == "converged" else "false")
         from cpsense.io_text import read_cpmodel
         from cpsense.tensor_core import mse, reconstruct
         truth = reconstruct(read_cpmodel(model_path))

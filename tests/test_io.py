@@ -47,6 +47,15 @@ class TestTensorRoundTrip:
         with pytest.raises(FormatError, match="non-negative integer"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("text", ["tensor 0\n5\n", "tensor 1 3\n1 2 3\n",
+                                      "tensor 2 0 3\n", "tensor 3 2 0 2\n"])
+    def test_order_below_two_or_empty_dim_rejected(self, tmp_path, text):
+        # write_tensor refuses these shapes, so read_tensor must too
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="order >= 2"):
+            read_tensor(path)
+
 
 class TestFactorRoundTrip:
     def test_exact(self, tmp_path):

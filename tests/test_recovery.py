@@ -271,6 +271,57 @@ class TestRecover:
         assert report.total_iterations == sum(r.iterations for r in runs)
         assert report.total_iterations >= report.iterations
 
+    def test_failed_ladder_als_leaves_the_random_starts(self, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(lm_single(*args, **kwargs))
+            return runs[-1]
+
+        def broken_lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        lm_single = recovery._lm_single
+        monkeypatch.setattr(recovery, "_lm_single", counted)
+        monkeypatch.setattr(np.linalg, "lstsq", broken_lstsq)
+        # the instance of the test above: its first random start fails, so
+        # ladder stages are tried and a second restart runs
+        truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
+        op = create_operator(36, (4, 4, 4), seed=103)
+        report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=200))
+        # every ladder stage was skipped: one rank-F run per restart
+        assert len(runs) >= 2
+        assert all(r.model.rank == 2 for r in runs)
+        k = min(range(len(runs)), key=lambda i: runs[i].objective)
+        won = runs[k]
+        assert report.model is won.model
+        assert report.restart_index == k
+        assert report.iterations == won.iterations
+        assert report.total_iterations == sum(r.iterations for r in runs)
+
+    @pytest.mark.parametrize("broken", [("solve",), ("solve", "lstsq")])
+    def test_singular_solves_end_stalled(self, monkeypatch, broken):
+        def raise_singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        for name in broken:
+            monkeypatch.setattr(np.linalg, name, raise_singular)
+        truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 1.0, 31))
+        op = create_operator(24, (3, 3, 3), seed=32)
+        y = apply(op, truth)
+        report = recover(op, y, RecoveryConfig(rank=2, restarts=2, seed=33))
+        assert report.status == STATUS_STALLED and not report.converged
+        assert report.iterations >= 1
+        assert report.objective_trace == [report.objective]
+
+    def test_report_is_frozen_and_converged_follows_status(self):
+        truth = reconstruct(generate_conditioned_model((3, 3, 3), 1, 1.0, 34))
+        op = create_operator(20, (3, 3, 3), seed=35)
+        report = recover(op, apply(op, truth), RecoveryConfig(rank=1, seed=36))
+        assert report.converged == (report.status == STATUS_CONVERGED)
+        with pytest.raises(AttributeError):
+            report.mse = 0.0
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             RecoveryConfig(rank=0)
