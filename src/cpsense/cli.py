@@ -107,9 +107,16 @@ def _cmd_rip_probe(args) -> int:
     return 0
 
 
+def _print_progress(row) -> None:
+    print(f"kappa_tilde={format_float(row.kappa_tilde)} trial={row.trial_index} "
+          f"success={'true' if row.success else 'false'} "
+          f"mse={format_float(row.mse)} seconds={row.wall_time_seconds:.3f}",
+          file=sys.stderr)
+
+
 def _cmd_experiment(args) -> int:
     config = experiment.load_config(args.config)
-    rows, summary = experiment.run_experiment(config)
+    rows, summary = experiment.run_experiment(config, _print_progress)
     rows_path, summary_path = experiment.write_csv(rows, summary, args.out)
     for s in summary:
         print(f"kappa_tilde={format_float(s.kappa_tilde)} m={s.m} "
@@ -128,6 +135,14 @@ def _cmd_selftest(args) -> int:
         print(f"{name}: {'pass' if ok else 'FAIL'}")
         failed = failed or not ok
     return 2 if failed else 0
+
+
+def _add_operator_flags(p) -> None:
+    """The measurement count M, entry variance scale and entry distribution."""
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--dist", choices=[sensing.GAUSSIAN, sensing.RADEMACHER],
+                   default=sensing.GAUSSIAN)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,23 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sense", help="compress a CP model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--m", type=int, required=True)
+    _add_operator_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--dist", choices=[sensing.GAUSSIAN, sensing.RADEMACHER],
-                   default=sensing.GAUSSIAN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sense)
 
     p = sub.add_parser("recover", help="recover a CP model from measurements")
     p.add_argument("--y", required=True)
     p.add_argument("--op-seed", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    _add_operator_flags(p)
     p.add_argument("--shape", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--dist", choices=[sensing.GAUSSIAN, sensing.RADEMACHER],
-                   default=sensing.GAUSSIAN)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
@@ -197,12 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rip-probe", help="empirical isometry probe")
     p.add_argument("--dims", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    _add_operator_flags(p)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--dist", choices=[sensing.GAUSSIAN, sensing.RADEMACHER],
-                   default=sensing.GAUSSIAN)
     p.add_argument("--op-seed", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_rip_probe)

@@ -51,10 +51,6 @@ class NormalizedCpForm:
     lambda_tilde: float
     factors_tilde: tuple[np.ndarray, ...]
 
-    @property
-    def rank(self) -> int:
-        return self.factors_tilde[0].shape[1]
-
 
 def kappa(model: CpModel) -> KappaReport:
     smax_prod = 1.0
@@ -94,12 +90,6 @@ def normalize(model: CpModel) -> NormalizedCpForm:
     factors_tilde = tuple(a / s for a, s in zip(model.factors, norms))
     lam = float(np.prod(norms)) / xnorm
     return NormalizedCpForm(lambda_tilde=lam, factors_tilde=factors_tilde)
-
-
-def fold_scale(form: NormalizedCpForm) -> CpModel:
-    """CpModel with lambda_tilde folded into the first factor."""
-    factors = (form.factors_tilde[0] * form.lambda_tilde,) + form.factors_tilde[1:]
-    return CpModel(factors)
 
 
 def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,

@@ -18,9 +18,9 @@ import numpy as np
 
 from .conditioning import generate_conditioned_model, kappa
 from .io_text import format_float, parse_list
-from .recovery import RecoveryConfig, recover, residual_jacobian
+from .recovery import RecoveryConfig, _pack, _unpack, recover, residual_jacobian
 from .seeding import mix
-from .sensing import GAUSSIAN, create_operator
+from .sensing import GAUSSIAN, adjoint_apply, create_operator
 from .sensing import apply as sense_apply
 from .tensor_core import (
     CpModel,
@@ -71,8 +71,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "dims", check_shape(self.dims))
         object.__setattr__(self, "kappa_grid", tuple(float(k) for k in self.kappa_grid))
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        # rank and the solver settings are checked where the solver defines them
+        RecoveryConfig(rank=self.rank, max_iters=self.max_iters,
+                       restarts=self.restarts)
         if any(d < self.rank for d in self.dims):
             raise ValueError(f"every dimension must be >= rank, got "
                              f"dims={self.dims}, rank={self.rank}")
@@ -134,7 +135,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"line {lineno}: key {key!r} is set twice")
+        raw[key] = value.strip()
 
     fields: dict = {}
     preset_name = raw.pop("preset", None)
@@ -268,27 +272,19 @@ title 'success count'
         fh.write(script)
 
 
-def selftest(corrupt_adjoint: bool = False) -> dict[str, bool]:
-    """Fast invariant suite; returns check name -> pass.
-
-    corrupt_adjoint is a fault-injection hook that negates one operator row
-    on the adjoint side only, so the adjoint check must fail while the
-    others still pass.
-    """
+def selftest() -> dict[str, bool]:
+    """Fast invariant suite; returns check name -> pass."""
     results: dict[str, bool] = {}
     rng = np.random.default_rng(20240817)
 
     # adjoint identity <Phi x, y> == <x, Phi^T y>
     op = create_operator(20, (3, 3, 3), seed=11)
-    phi_t = op.matrix.T.copy()
-    if corrupt_adjoint:
-        phi_t[:, 0] = -phi_t[:, 0]
     ok = True
     for _ in range(20):
         x = rng.standard_normal(op.shape)
         yv = rng.standard_normal(op.m)
         lhs = float(np.dot(sense_apply(op, x), yv))
-        rhs = float(np.dot(x.ravel(), phi_t @ yv))
+        rhs = float(np.dot(x.ravel(), adjoint_apply(op, yv).ravel()))
         if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
             ok = False
     results["adjoint"] = ok
@@ -297,7 +293,6 @@ def selftest(corrupt_adjoint: bool = False) -> dict[str, bool]:
     model = CpModel(tuple(rng.standard_normal((3, 2)) for _ in range(3)))
     yv = rng.standard_normal(op.m)
     _, jac = residual_jacobian(model, op, yv)
-    from .recovery import _pack, _unpack
     x0 = _pack(model.factors)
     step = 1e-6
     ok = True

@@ -1,4 +1,4 @@
-"""Plain-text file formats for tensors, factors, CP models, and measurements.
+"""Plain-text file formats for tensors, CP models, and measurements.
 
 All floats are written with 17 significant digits so round trips are exact
 in double precision.
@@ -25,10 +25,27 @@ def parse_list(text: str, convert=int) -> tuple:
     return tuple(convert(v) for v in text.split(","))
 
 
-def _write_values(lines: list[str], values: np.ndarray, per_line: int = 8) -> None:
+_VALUES_PER_LINE = 8
+
+
+def _write_values(lines: list[str], values: np.ndarray) -> None:
     flat = values.ravel()
-    for start in range(0, flat.size, per_line):
-        lines.append(" ".join(format_float(v) for v in flat[start:start + per_line]))
+    for start in range(0, flat.size, _VALUES_PER_LINE):
+        lines.append(" ".join(format_float(v) for v in flat[start:start + _VALUES_PER_LINE]))
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_tokens(path, keyword: str) -> list[str]:
+    """The whitespace-separated tokens of a file that starts with `keyword`."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    if not tokens or tokens[0] != keyword:
+        raise FormatError(f"expected a '{keyword}' header")
+    return tokens
 
 
 def _header_ints(tokens: list[str], pos: int, count: int,
@@ -61,15 +78,11 @@ def write_tensor(path, x: np.ndarray) -> None:
     dims = check_shape(x.shape)
     lines = ["tensor " + str(len(dims)) + " " + " ".join(map(str, dims))]
     _write_values(lines, x)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens or tokens[0] != "tensor":
-        raise FormatError("expected a 'tensor' header")
+    tokens = _read_tokens(path, "tensor")
     order, = _header_ints(tokens, 1, 1, "tensor")
     dims = tuple(_header_ints(tokens, 2, order, "tensor"))
     if order < 2 or min(dims) < 1:
@@ -80,19 +93,6 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(
             f"expected {int(np.prod(dims))} values, got {values.size}")
     return values.reshape(dims)
-
-
-def write_factor(path, a: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(_factor_lines(np.asarray(a, dtype=float))) + "\n")
-
-
-def _factor_lines(a: np.ndarray) -> list[str]:
-    if a.ndim != 2:
-        raise FormatError("a factor must be a 2-D matrix")
-    lines = [f"factor {a.shape[0]} {a.shape[1]}"]
-    _write_values(lines, a)  # row-major
-    return lines
 
 
 def _read_factor_tokens(tokens: list[str], pos: int) -> tuple[np.ndarray, int]:
@@ -106,28 +106,16 @@ def _read_factor_tokens(tokens: list[str], pos: int) -> tuple[np.ndarray, int]:
     return values.reshape(rows, cols), pos + 3 + count
 
 
-def read_factor(path) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    a, end = _read_factor_tokens(tokens, 0)
-    if end != len(tokens):
-        raise FormatError("trailing data after factor block")
-    return a
-
-
 def write_cpmodel(path, model: CpModel) -> None:
     lines = [f"cpmodel {model.order} {model.rank}"]
     for a in model.factors:
-        lines.extend(_factor_lines(a))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(f"factor {a.shape[0]} {a.shape[1]}")
+        _write_values(lines, a)  # row-major
+    _write_lines(path, lines)
 
 
 def read_cpmodel(path) -> CpModel:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens or tokens[0] != "cpmodel":
-        raise FormatError("expected a 'cpmodel' header")
+    tokens = _read_tokens(path, "cpmodel")
     order, rank = _header_ints(tokens, 1, 2, "cpmodel")
     pos = 3
     factors = []
@@ -146,15 +134,11 @@ def write_measurements(path, y: np.ndarray) -> None:
     y = np.asarray(y, dtype=float).ravel()
     lines = [f"measurements {y.size}"]
     _write_values(lines, y)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_measurements(path) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens or tokens[0] != "measurements":
-        raise FormatError("expected a 'measurements' header")
+    tokens = _read_tokens(path, "measurements")
     m, = _header_ints(tokens, 1, 1, "measurements")
     values = _read_values(tokens[2:])
     if values.size != m:

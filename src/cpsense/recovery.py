@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import mix
-from .sensing import SensingOperator, adjoint_apply
+from .sensing import SensingOperator, adjoint_apply, check_measurements
 from .sensing import apply as sense_apply
 from .tensor_core import (
     CpModel,
@@ -68,6 +68,8 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -109,9 +111,7 @@ class LmRun:
 
 
 def objective(model: CpModel, op: SensingOperator, y: np.ndarray) -> float:
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != op.m:
-        raise DimensionMismatch(f"measurement length {y.size} != M = {op.m}")
+    y = check_measurements(op, y)
     r = y - sense_apply(op, reconstruct(model))
     return float(np.dot(r, r))
 
@@ -128,9 +128,7 @@ def residual_jacobian(model: CpModel, op: SensingOperator, y: np.ndarray):
     """
     if model.shape != op.shape:
         raise DimensionMismatch(f"model shape {model.shape} != operator shape {op.shape}")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != op.m:
-        raise DimensionMismatch(f"measurement length {y.size} != M = {op.m}")
+    y = check_measurements(op, y)
     factors = model.factors
     f = model.rank
     blocks = []
@@ -286,9 +284,7 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     A ladder stage whose ALS fit raises `LinAlgError` is skipped; the random
     start always runs, so every restart has a stage to pick from.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != op.m:
-        raise DimensionMismatch(f"measurement length {y.size} != M = {op.m}")
+    y = check_measurements(op, y)
     y_norm = float(np.linalg.norm(y))
     floor = _STAGE_SUCCESS_REL * max(1.0, y_norm ** 2)
     rank = config.rank

@@ -34,10 +34,6 @@ class SensingOperator:
     seed: int
     matrix: np.ndarray
 
-    @property
-    def signal_size(self) -> int:
-        return int(np.prod(self.shape))
-
     @cached_property
     def mode_unfoldings(self) -> tuple[np.ndarray, ...]:
         """Per mode n, Phi permuted to an (M * I_n) x (J / I_n) matrix.
@@ -91,9 +87,15 @@ def apply(op: SensingOperator, x: np.ndarray) -> np.ndarray:
     return op.matrix @ vec(x)
 
 
-def adjoint_apply(op: SensingOperator, y: np.ndarray) -> np.ndarray:
-    """Tensor whose vectorization is Phi^T y."""
+def check_measurements(op: SensingOperator, y) -> np.ndarray:
+    """`y` as a flat float vector, checked to hold the operator's M entries."""
     y = np.asarray(y, dtype=float).ravel()
     if y.size != op.m:
         raise DimensionMismatch(f"measurement length {y.size} != M = {op.m}")
+    return y
+
+
+def adjoint_apply(op: SensingOperator, y: np.ndarray) -> np.ndarray:
+    """Tensor whose vectorization is Phi^T y."""
+    y = check_measurements(op, y)
     return (op.matrix.T @ y).reshape(op.shape)

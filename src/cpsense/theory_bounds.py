@@ -61,22 +61,24 @@ class RipProbeResult:
     delta_hat: float
 
 
+def _measurement_bound(inputs: BoundInputs, params: int,
+                       scale: float = 1.0) -> float:
+    """C alpha^2 scale max{(1 + params) ln(3(N+1)tau), ln(1/eta)}."""
+    branch1 = (1.0 + params) * math.log(3.0 * (inputs.order + 1) * inputs.tau)
+    branch2 = math.log(1.0 / inputs.eta)
+    return inputs.c * inputs.alpha ** 2 * scale * max(branch1, branch2)
+
+
 def theorem1_measurement_bound(inputs: BoundInputs) -> float:
     """C alpha^2 max{(1 + 2 sum I_n F) ln(3(N+1)tau), ln(1/eta)}."""
-    branch1 = (1.0 + 2.0 * inputs.param_sum) * math.log(
-        3.0 * (inputs.order + 1) * inputs.tau)
-    branch2 = math.log(1.0 / inputs.eta)
-    return inputs.c * inputs.alpha ** 2 * max(branch1, branch2)
+    return _measurement_bound(inputs, 2 * inputs.param_sum)
 
 
 def prop2_measurement_bound(inputs: BoundInputs) -> float:
     """C alpha^2 delta^-2 max{(1 + sum I_n F) ln(3(N+1)tau), ln(1/eta)}."""
     if inputs.delta is None:
         raise ValueError("this bound needs delta in (0, 1)")
-    branch1 = (1.0 + inputs.param_sum) * math.log(
-        3.0 * (inputs.order + 1) * inputs.tau)
-    branch2 = math.log(1.0 / inputs.eta)
-    return inputs.c * inputs.alpha ** 2 * inputs.delta ** -2 * max(branch1, branch2)
+    return _measurement_bound(inputs, inputs.param_sum, inputs.delta ** -2)
 
 
 def covering_log_cardinality(dims, rank: int, tau: float, epsilon: float) -> float:

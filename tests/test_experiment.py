@@ -75,6 +75,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 1"):
             parse_config("this is not a key value pair\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="line 4: key 'rank' is set twice"):
+            parse_config("dims = 4,4,4\nrank = 3\nkappa_grid = 1\nrank = 2\n")
+
 
 class TestMeasurementCount:
     def test_default_uses_factor_times_params(self):
@@ -234,11 +238,16 @@ class TestSelftest:
         assert results and all(results.values())
         assert elapsed < 30.0
 
-    def test_fault_injection_breaks_only_adjoint(self):
-        results = experiment.selftest(corrupt_adjoint=True)
+    def test_fault_injection_breaks_only_adjoint(self, monkeypatch, capsys):
+        adjoint = experiment.adjoint_apply
+        monkeypatch.setattr(experiment, "adjoint_apply",
+                            lambda op, y: -adjoint(op, y))
+        results = experiment.selftest()
         assert not results["adjoint"]
         others = {k: v for k, v in results.items() if k != "adjoint"}
-        assert all(others.values())
+        assert others and all(others.values())
+        assert cli.main(["selftest"]) == 2
+        assert "adjoint: FAIL" in capsys.readouterr().out
 
 
 class TestCli:
@@ -320,8 +329,13 @@ class TestCli:
         assert cli.main(["experiment", "--config", str(config_path),
                          "--out", str(tmp_path / "run"),
                          "--plot-script", str(tmp_path / "plot.gp")]) == 0
-        out = capsys.readouterr().out
-        assert "successes=" in out
+        captured = capsys.readouterr()
+        assert "successes=" in captured.out
+        # one progress line per finished trial: 2 grid points x 2 trials
+        progress = captured.err.splitlines()
+        assert len(progress) == 4
+        assert progress[-1].startswith("kappa_tilde=10 trial=1 success=")
+        assert all(" mse=" in ln and " seconds=" in ln for ln in progress)
         assert (tmp_path / "run_rows.csv").exists()
         assert (tmp_path / "run_summary.csv").exists()
         assert (tmp_path / "plot.gp").exists()

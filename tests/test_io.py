@@ -4,11 +4,9 @@ import pytest
 from cpsense.io_text import (
     FormatError,
     read_cpmodel,
-    read_factor,
     read_measurements,
     read_tensor,
     write_cpmodel,
-    write_factor,
     write_measurements,
     write_tensor,
 )
@@ -57,20 +55,6 @@ class TestTensorRoundTrip:
             read_tensor(path)
 
 
-class TestFactorRoundTrip:
-    def test_exact(self, tmp_path):
-        a = np.random.default_rng(1).standard_normal((5, 3))
-        path = tmp_path / "a.txt"
-        write_factor(path, a)
-        np.testing.assert_array_equal(read_factor(path), a)
-
-    def test_trailing_data_rejected(self, tmp_path):
-        path = tmp_path / "a.txt"
-        path.write_text("factor 2 2\n1 2 3 4 5\n")
-        with pytest.raises(FormatError):
-            read_factor(path)
-
-
 class TestModelRoundTrip:
     def test_exact(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -86,6 +70,12 @@ class TestModelRoundTrip:
         path = tmp_path / "model.txt"
         path.write_text("cpmodel 1 3\nfactor 2 2\n1 2 3 4\n")
         with pytest.raises(FormatError):
+            read_cpmodel(path)
+
+    def test_trailing_data_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("cpmodel 2 1\nfactor 2 1\n1 2\nfactor 2 1\n3 4 5\n")
+        with pytest.raises(FormatError, match="trailing data"):
             read_cpmodel(path)
 
     def test_bad_header(self, tmp_path):

@@ -3,7 +3,8 @@ import string
 import numpy as np
 import pytest
 
-from cpsense import recovery
+from cpsense import cli, recovery
+from cpsense.io_text import write_measurements
 from cpsense.recovery import (
     RecoveryConfig,
     RecoveryReport,
@@ -322,8 +323,25 @@ class TestRecover:
         with pytest.raises(AttributeError):
             report.mse = 0.0
 
-    def test_invalid_config(self):
+    def test_invalid_config(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             RecoveryConfig(rank=0)
         with pytest.raises(ValueError):
             RecoveryConfig(rank=1, restarts=0)
+        for max_iters in (0, -4):
+            with pytest.raises(ValueError, match="max_iters must be >= 1"):
+                RecoveryConfig(rank=3, max_iters=max_iters)
+        y_path = tmp_path / "y.txt"
+        write_measurements(y_path, np.ones(30))
+        assert cli.main(["recover", "--y", str(y_path), "--m", "30",
+                         "--shape", "3,3,3", "--rank", "1", "--op-seed", "1",
+                         "--max-iters", "0", "--out",
+                         str(tmp_path / "rec.txt")]) == 1
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text("dims = 3,3,3\nrank = 1\nkappa_grid = 1\n"
+                               "trials = 1\nmax_iters = 0\n")
+        assert cli.main(["experiment", "--config", str(config_path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run_rows.csv").exists()
