@@ -141,7 +141,7 @@ def _add_operator_flags(p) -> None:
     """The measurement count M, entry variance scale and entry distribution."""
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--dist", choices=[sensing.GAUSSIAN, sensing.RADEMACHER],
+    p.add_argument("--dist", choices=sensing.DISTRIBUTIONS,
                    default=sensing.GAUSSIAN)
 
 
@@ -177,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operator_flags(p)
     p.add_argument("--shape", type=parse_list, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--restarts", type=int, default=RecoveryConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=RecoveryConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", default=None,
                    help="optional ground-truth tensor file for MSE")

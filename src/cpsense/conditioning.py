@@ -22,22 +22,38 @@ KAPPA_FINITE = "finite"
 KAPPA_INFINITE = "infinite"
 
 
+def check_kappa(name: str, value: float) -> None:
+    """Reject a condition number (or a bound on one) that is not finite and >= 1."""
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 1, got {value}")
+
+
+def check_rank_fits(dims, rank: int) -> None:
+    """Reject a rank above a dimension: that factor could not have full column rank."""
+    if any(d < rank for d in dims):
+        raise DimensionMismatch(
+            f"every dimension must be >= rank, got dims={dims}, rank={rank}")
+
+
 @dataclass(frozen=True)
 class KappaReport:
     """Condition number of a CP tensor plus the quantities that define it.
 
     kappa = prod_n sigma_max(A_n) / sigma_min(A_1 (kr) ... (kr) A_N).
     cond_product_bound is prod_n cond(A_n) when every factor has full
-    column rank, else None.  status is "infinite" when the Khatri-Rao
-    chain is rank deficient; downstream code must branch on status rather
-    than propagate the inf.
+    column rank, else None.  kappa is inf when the Khatri-Rao chain is
+    rank deficient (or the ratio overflows), and status is then "infinite";
+    downstream code must branch on status rather than propagate the inf.
     """
 
     kappa: float
     sigma_max_product: float
     sigma_min_kr: float
     cond_product_bound: float | None
-    status: str
+
+    @property
+    def status(self) -> str:
+        return KAPPA_INFINITE if math.isinf(self.kappa) else KAPPA_FINITE
 
 
 @dataclass(frozen=True)
@@ -75,7 +91,6 @@ def kappa(model: CpModel) -> KappaReport:
         sigma_max_product=smax_prod,
         sigma_min_kr=smin_kr,
         cond_product_bound=cond_prod if full_rank else None,
-        status=KAPPA_INFINITE if singular else KAPPA_FINITE,
     )
 
 
@@ -104,9 +119,7 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
         raise DimensionMismatch(f"need rows >= cols, got {rows} < {cols}")
     if cols < 1:
         raise DimensionMismatch("cols must be >= 1")
-    if not 1.0 <= kappa_target < math.inf:
-        raise ValueError(
-            f"condition number target must be finite and >= 1, got {kappa_target}")
+    check_kappa("condition number target", kappa_target)
     rng = np.random.default_rng(rng_seed)
     a = rng.random((rows, cols))
     u, _, vt = np.linalg.svd(a, full_matrices=False)
@@ -126,10 +139,7 @@ def generate_conditioned_model(dims, rank: int, kappa_tilde: float,
     Each mode uses an independent sub-seed derived from (rng_seed, mode).
     """
     dims = check_shape(dims)
-    if any(d < rank for d in dims):
-        raise DimensionMismatch(
-            f"every dimension must be >= rank, got dims={dims}, rank={rank}"
-        )
+    check_rank_fits(dims, rank)
     factors = tuple(
         generate_conditioned_factor(d, rank, kappa_tilde, mix(rng_seed, n), spacing)
         for n, d in enumerate(dims)

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import generate_conditioned_model, kappa
+from .conditioning import check_kappa, check_rank_fits, generate_conditioned_model, kappa
 from .io_text import format_float, parse_list
 from .recovery import RecoveryConfig, _pack, _unpack, recover, residual_jacobian
 from .seeding import mix
-from .sensing import GAUSSIAN, adjoint_apply, create_operator
+from .sensing import GAUSSIAN, adjoint_apply, check_distribution, create_operator
 from .sensing import apply as sense_apply
 from .tensor_core import (
     CpModel,
+    check_positive,
     check_shape,
     khatri_rao_chain,
     param_count,
@@ -47,6 +48,9 @@ PAPER_FIG1_PRESET = {
 
 PRESETS = {"paper-fig1": PAPER_FIG1_PRESET}
 
+# without an explicit m, M = ceil(M_FACTOR * sum(I_n) * F), the paper's protocol
+M_FACTOR = 1.5
+
 ROWS_HEADER = ["kappa_tilde", "m", "trial", "seed", "mse", "success",
                "iterations", "wall_time_s"]
 SUMMARY_HEADER = ["kappa_tilde", "m", "trials", "successes", "success_rate",
@@ -60,31 +64,31 @@ class ExperimentConfig:
     kappa_grid: tuple[float, ...]
     trials: int = 100
     m: tuple[int, ...] | None = None  # explicit M per grid point (or one for all)
-    m_factor: float = 1.5             # used when m is None: M = ceil(m_factor * sum(I_n) * F)
     alpha: float = 1.0
     distribution: str = GAUSSIAN
     success_mse_threshold: float = 1e-10
     base_seed: int = 0
-    restarts: int = 5
-    max_iters: int = 500
+    restarts: int = RecoveryConfig.restarts
+    max_iters: int = RecoveryConfig.max_iters
 
     def __post_init__(self):
         object.__setattr__(self, "dims", check_shape(self.dims))
         object.__setattr__(self, "kappa_grid", tuple(float(k) for k in self.kappa_grid))
-        # rank and the solver settings are checked where the solver defines them
-        RecoveryConfig(rank=self.rank, max_iters=self.max_iters,
-                       restarts=self.restarts)
-        if any(d < self.rank for d in self.dims):
-            raise ValueError(f"every dimension must be >= rank, got "
-                             f"dims={self.dims}, rank={self.rank}")
+        # every setting is checked by the rule of the code that uses it, so a
+        # bad sweep fails here and not after some of its trials have run
+        self.solver(seed=0)
+        check_rank_fits(self.dims, self.rank)
         if not self.kappa_grid:
             raise ValueError("kappa grid must be nonempty")
+        for k in self.kappa_grid:
+            check_kappa("kappa_grid value", k)
         if len(set(self.kappa_grid)) != len(self.kappa_grid):
             raise ValueError(f"kappa grid repeats a value: {self.kappa_grid}")
+        check_positive("alpha", self.alpha)
+        check_distribution(self.distribution)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.success_mse_threshold <= 0:
-            raise ValueError("success threshold must be > 0")
+        check_positive("success_mse_threshold", self.success_mse_threshold)
         if self.m is not None:
             m = tuple(int(v) for v in self.m)
             if len(m) not in (1, len(self.kappa_grid)):
@@ -93,13 +97,16 @@ class ExperimentConfig:
             if min(m) < 1:
                 raise ValueError(f"explicit m must be >= 1, got {m}")
             object.__setattr__(self, "m", m)
-        if not self.m_factor > 0:
-            raise ValueError(f"m_factor must be > 0, got {self.m_factor}")
+
+    def solver(self, seed: int) -> RecoveryConfig:
+        """The solver settings of every trial, with that trial's seed."""
+        return RecoveryConfig(rank=self.rank, max_iters=self.max_iters,
+                              restarts=self.restarts, seed=seed)
 
     def m_for(self, grid_index: int) -> int:
         if self.m is not None:
             return self.m[0] if len(self.m) == 1 else self.m[grid_index]
-        return int(math.ceil(self.m_factor * param_count(self.dims, self.rank)))
+        return int(math.ceil(M_FACTOR * param_count(self.dims, self.rank)))
 
 
 @dataclass(frozen=True)
@@ -120,9 +127,12 @@ class GridSummary:
     m: int
     trials: int
     success_count: int
-    success_rate: float
     median_mse: float
     mean_iterations: float
+
+    @property
+    def success_rate(self) -> float:
+        return self.success_count / self.trials
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -153,7 +163,6 @@ def parse_config(text: str) -> ExperimentConfig:
         "kappa_grid": lambda s: parse_list(s, float),
         "trials": int,
         "m": parse_list,
-        "m_factor": float,
         "alpha": float,
         "distribution": str,
         "success_mse_threshold": float,
@@ -189,10 +198,8 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Ex
     op = create_operator(m, config.dims, config.distribution, config.alpha,
                          mix(trial_seed, _OP_STREAM))
     y = sense_apply(op, truth)
-    solver = RecoveryConfig(rank=config.rank, max_iters=config.max_iters,
-                            restarts=config.restarts,
-                            seed=mix(trial_seed, _SOLVER_STREAM))
-    report = recover(op, y, solver, ground_truth=truth)
+    report = recover(op, y, config.solver(mix(trial_seed, _SOLVER_STREAM)),
+                     ground_truth=truth)
     elapsed = time.perf_counter() - start
     return ExperimentRow(
         kappa_tilde=kappa_tilde, m=m, trial_index=trial_index,
@@ -206,11 +213,9 @@ def summarize(config: ExperimentConfig, rows: list[ExperimentRow]) -> list[GridS
     for gi, kt in enumerate(config.kappa_grid):
         m = config.m_for(gi)
         grid_rows = [r for r in rows if r.kappa_tilde == kt and r.m == m]
-        successes = sum(r.success for r in grid_rows)
         out.append(GridSummary(
             kappa_tilde=kt, m=m, trials=len(grid_rows),
-            success_count=successes,
-            success_rate=successes / len(grid_rows),
+            success_count=sum(r.success for r in grid_rows),
             median_mse=statistics.median(r.mse for r in grid_rows),
             mean_iterations=statistics.fmean(r.iterations for r in grid_rows)))
     return out

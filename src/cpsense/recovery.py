@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import mix
-from .sensing import SensingOperator, adjoint_apply, check_measurements
+from .sensing import SensingOperator, adjoint_apply, check_measurements, check_tensor
 from .sensing import apply as sense_apply
 from .tensor_core import (
     CpModel,
@@ -155,8 +155,8 @@ def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
 
 
 def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
-               config: RecoveryConfig, rank: int) -> LmRun:
-    """One damped Gauss-Newton run from the given factors.
+               max_iters: int) -> LmRun:
+    """One damped Gauss-Newton run from the given factors, at their rank.
 
     The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
     Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
@@ -167,6 +167,7 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     run as stalled.
     """
     dims = op.shape
+    rank = factors0[0].shape[1]
     x = _pack(factors0)
     model = _unpack(x, dims, rank)
     r, jac = residual_jacobian(model, op, y)
@@ -180,7 +181,7 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     on_diag = np.diag_indices(x.size)
     status = STATUS_MAX_ITERS
     it = 0
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, max_iters + 1):
         jtj = jac.T @ jac
         g = jac.T @ r
         diag = np.diag(jtj)
@@ -266,12 +267,12 @@ def _random_start(op, y_norm, rank, rng):
     return _scale_to_norm(factors, y_norm)
 
 
-def _ladder_start(op, y, y_norm, rank, rng, config):
+def _ladder_start(op, y, y_norm, rank, rng, max_iters):
     """Over-parameterized warm start via the backprojection Phi^T y."""
     backprojection = adjoint_apply(op, y)
     factors = _dense_cp_als(backprojection, rank + 1, rng, _ALS_INIT_SWEEPS)
     factors = _scale_to_norm(factors, y_norm)
-    run = _lm_single(factors, op, y, config, rank + 1)
+    run = _lm_single(factors, op, y, max_iters)
     return _truncate(run.model.factors, rank), run
 
 
@@ -285,6 +286,8 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     start always runs, so every restart has a stage to pick from.
     """
     y = check_measurements(op, y)
+    if ground_truth is not None:
+        ground_truth = check_tensor(op, ground_truth)
     y_norm = float(np.linalg.norm(y))
     floor = _STAGE_SUCCESS_REL * max(1.0, y_norm ** 2)
     rank = config.rank
@@ -302,11 +305,11 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
             else:
                 try:
                     factors, ladder = _ladder_start(op, y, y_norm, rank, rng,
-                                                    config)
+                                                    config.max_iters)
                 except np.linalg.LinAlgError:  # the ALS lstsq did not converge
                     continue
                 ladder_iters += ladder.iterations
-            run = _lm_single(factors, op, y, config, rank)
+            run = _lm_single(factors, op, y, config.max_iters)
             stage_runs.append(run)
             if run.objective <= floor:
                 break

@@ -8,10 +8,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_core import DimensionMismatch, check_shape, vec
+from .tensor_core import DimensionMismatch, check_positive, check_shape, vec
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
+DISTRIBUTIONS = (GAUSSIAN, RADEMACHER)
 
 # dense M x J matrices only; refuse instances that would not fit comfortably
 MAX_ENTRIES = 200_000_000
@@ -21,17 +22,14 @@ MAX_ENTRIES = 200_000_000
 class SensingOperator:
     """Dense M x prod(I_n) random matrix with i.i.d. variance-alpha/M entries.
 
-    Regenerating from (m, shape, distribution, alpha, seed) is bit-identical;
-    the matrix is materialized once at construction.  Operators compare and
-    hash by identity: a field-wise comparison would compare the matrix
-    arrays, which have no single truth value.
+    The same `create_operator` arguments give a bit-identical matrix,
+    materialized once at construction.  Operators compare and hash by
+    identity: a field-wise comparison would compare the matrix arrays,
+    which have no single truth value.
     """
 
     m: int
     shape: tuple[int, ...]
-    distribution: str
-    alpha: float
-    seed: int
     matrix: np.ndarray
 
     @cached_property
@@ -53,13 +51,19 @@ class SensingOperator:
         return tuple(out)
 
 
+def check_distribution(distribution: str) -> None:
+    """Reject an entry distribution that `create_operator` cannot draw."""
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}")
+
+
 def create_operator(m: int, shape, distribution: str = GAUSSIAN,
                     alpha: float = 1.0, seed: int = 0) -> SensingOperator:
     shape = check_shape(shape)
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    check_positive("alpha", alpha)
+    check_distribution(distribution)
     j = int(np.prod(shape))
     if m * j > MAX_ENTRIES:
         raise ValueError(
@@ -70,21 +74,23 @@ def create_operator(m: int, shape, distribution: str = GAUSSIAN,
     rng = np.random.default_rng(seed)
     if distribution == GAUSSIAN:
         matrix = rng.normal(0.0, scale, size=(m, j))
-    elif distribution == RADEMACHER:
-        matrix = scale * (2.0 * rng.integers(0, 2, size=(m, j)) - 1.0)
     else:
-        raise ValueError(f"unknown distribution {distribution!r}")
+        matrix = scale * (2.0 * rng.integers(0, 2, size=(m, j)) - 1.0)
     matrix.setflags(write=False)
-    return SensingOperator(m=m, shape=shape, distribution=distribution,
-                           alpha=float(alpha), seed=int(seed), matrix=matrix)
+    return SensingOperator(m=m, shape=shape, matrix=matrix)
+
+
+def check_tensor(op: SensingOperator, x) -> np.ndarray:
+    """`x` as a float array, checked to have the operator's tensor shape."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != op.shape:
+        raise DimensionMismatch(f"tensor shape {x.shape} != operator shape {op.shape}")
+    return x
 
 
 def apply(op: SensingOperator, x: np.ndarray) -> np.ndarray:
     """y = Phi vec(x)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != op.shape:
-        raise DimensionMismatch(f"tensor shape {x.shape} != operator shape {op.shape}")
-    return op.matrix @ vec(x)
+    return op.matrix @ vec(check_tensor(op, x))
 
 
 def check_measurements(op: SensingOperator, y) -> np.ndarray:

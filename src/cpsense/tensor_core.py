@@ -31,6 +31,12 @@ def check_shape(dims) -> tuple[int, ...]:
     return dims
 
 
+def check_positive(name: str, value: float) -> None:
+    """Reject a scale that is not a positive finite number (NaN included)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CpModel:
     """A CP model: one I_n x F factor matrix per mode, weights absorbed."""

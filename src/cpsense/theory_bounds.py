@@ -7,11 +7,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import generate_conditioned_model
+from .conditioning import check_kappa, generate_conditioned_model
 from .seeding import mix
 from .sensing import SensingOperator
 from .sensing import apply as sense_apply
-from .tensor_core import check_shape, frobenius_norm, reconstruct
+from .tensor_core import (
+    check_positive,
+    check_shape,
+    frobenius_norm,
+    param_count,
+    reconstruct,
+)
+
+
+def _check_tensor_set(dims, rank: int, tau: float) -> tuple[int, ...]:
+    """Check the order-N, rank-F, kappa <= tau tensor set a bound covers."""
+    dims = check_shape(dims)
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    check_kappa("tau", tau)
+    return dims
 
 
 @dataclass(frozen=True)
@@ -25,25 +40,14 @@ class BoundInputs:
     delta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", check_shape(self.dims))
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.tau < 1.0:
-            raise ValueError(f"tau must be >= 1 (kappa >= 1), got {self.tau}")
+        object.__setattr__(self, "dims",
+                           _check_tensor_set(self.dims, self.rank, self.tau))
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.alpha <= 0.0 or self.c <= 0.0:
-            raise ValueError("alpha and c must be > 0")
+        check_positive("alpha", self.alpha)
+        check_positive("c", self.c)
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-    @property
-    def order(self) -> int:
-        return len(self.dims)
-
-    @property
-    def param_sum(self) -> int:
-        return sum(self.dims) * self.rank
 
 
 @dataclass(frozen=True)
@@ -58,51 +62,50 @@ class RipProbeResult:
     mean_ratio: float
     min_ratio: float
     max_ratio: float
-    delta_hat: float
+
+    @property
+    def delta_hat(self) -> float:
+        return max(1.0 - self.min_ratio, self.max_ratio - 1.0)
 
 
 def _measurement_bound(inputs: BoundInputs, params: int,
                        scale: float = 1.0) -> float:
     """C alpha^2 scale max{(1 + params) ln(3(N+1)tau), ln(1/eta)}."""
-    branch1 = (1.0 + params) * math.log(3.0 * (inputs.order + 1) * inputs.tau)
+    branch1 = (1.0 + params) * math.log(3.0 * (len(inputs.dims) + 1) * inputs.tau)
     branch2 = math.log(1.0 / inputs.eta)
     return inputs.c * inputs.alpha ** 2 * scale * max(branch1, branch2)
 
 
 def theorem1_measurement_bound(inputs: BoundInputs) -> float:
     """C alpha^2 max{(1 + 2 sum I_n F) ln(3(N+1)tau), ln(1/eta)}."""
-    return _measurement_bound(inputs, 2 * inputs.param_sum)
+    return _measurement_bound(inputs, 2 * param_count(inputs.dims, inputs.rank))
 
 
 def prop2_measurement_bound(inputs: BoundInputs) -> float:
     """C alpha^2 delta^-2 max{(1 + sum I_n F) ln(3(N+1)tau), ln(1/eta)}."""
     if inputs.delta is None:
         raise ValueError("this bound needs delta in (0, 1)")
-    return _measurement_bound(inputs, inputs.param_sum, inputs.delta ** -2)
+    return _measurement_bound(inputs, param_count(inputs.dims, inputs.rank),
+                              inputs.delta ** -2)
 
 
 def covering_log_cardinality(dims, rank: int, tau: float, epsilon: float) -> float:
     """Natural log of the covering-number bound (3(N+1)tau/eps)^(1 + sum I_n F)."""
-    dims = check_shape(dims)
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if tau < 1.0:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    exponent = 1.0 + sum(dims) * rank
+    dims = _check_tensor_set(dims, rank, tau)
+    check_positive("epsilon", epsilon)
+    exponent = 1.0 + param_count(dims, rank)
     return exponent * math.log(3.0 * (len(dims) + 1) * tau / epsilon)
 
 
 def rip_probe(op: SensingOperator, rank: int, kappa_tilde: float,
-              samples: int, seed: int, spacing: str = "linear") -> RipProbeResult:
+              samples: int, seed: int) -> RipProbeResult:
     """Sample conditioned unit-Frobenius CP tensors and record ||A(X)||^2."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ratios = np.empty(samples)
     for i in range(samples):
         model = generate_conditioned_model(op.shape, rank, kappa_tilde,
-                                           mix(seed, i), spacing)
+                                           mix(seed, i))
         x = reconstruct(model)
         x /= frobenius_norm(x)
         yv = sense_apply(op, x)
@@ -111,5 +114,4 @@ def rip_probe(op: SensingOperator, rank: int, kappa_tilde: float,
     min_r = float(ratios.min())
     max_r = float(ratios.max())
     return RipProbeResult(samples=samples, mean_ratio=mean_r, min_ratio=min_r,
-                          max_ratio=max_r,
-                          delta_hat=max(1.0 - min_r, max_r - 1.0))
+                          max_ratio=max_r)

@@ -54,6 +54,15 @@ class TestKappa:
         assert report.status == KAPPA_INFINITE
         assert np.isinf(report.kappa)
 
+    def test_overflowing_ratio_is_infinite(self):
+        # a full-rank chain whose sigma_max product overflows to inf
+        model = CpModel((np.diag([1e150, 1e-150]), np.diag([1e-150, 1e150]),
+                         1e150 * np.eye(2)))
+        report = kappa(model)
+        assert report.sigma_min_kr > 0.0
+        assert np.isinf(report.kappa)
+        assert report.status == KAPPA_INFINITE
+
     def test_cond_bound_unavailable_for_wide_factor(self):
         rng = np.random.default_rng(2)
         model = CpModel((rng.standard_normal((2, 3)),

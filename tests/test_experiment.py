@@ -107,8 +107,6 @@ class TestConfigValidation:
         ({"dims": (4, 2, 4)}, "every dimension must be >= rank"),
         ({"kappa_grid": (1.0, 10.0, 1.0)}, "repeats a value"),
         ({"m": (40, 0)}, "explicit m must be >= 1"),
-        ({"m_factor": 0.0}, "m_factor must be > 0"),
-        ({"m_factor": -1.5}, "m_factor must be > 0"),
     ])
     def test_bad_config_rejected(self, changes, message):
         fields = {"dims": (4, 4, 4), "rank": 3, "kappa_grid": (1.0, 10.0)}
@@ -123,6 +121,27 @@ class TestConfigValidation:
                          "--out", str(tmp_path / "run")]) != 0
         assert "every dimension must be >= rank" in capsys.readouterr().err
         assert not (tmp_path / "run_rows.csv").exists()
+
+    def test_bad_kappa_runs_no_trial(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return trial(*args)
+
+        trial = experiment.run_trial
+        monkeypatch.setattr(experiment, "run_trial", counted)
+        text = FAST.replace("kappa_grid = 1.0,10.0", "kappa_grid = 1, 0.5")
+        with pytest.raises(ValueError, match="kappa_grid value must be finite"):
+            run_experiment(parse_config(text))
+        config_path = tmp_path / "sweep.cfg"
+        config_path.write_text(text)
+        assert cli.main(["experiment", "--config", str(config_path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert "kappa_grid value must be finite and >= 1, got 0.5" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run_rows.csv").exists()
+        assert calls == []
 
     def test_fault_in_recovery_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -315,6 +334,18 @@ class TestCli:
         out = capsys.readouterr().out
         val = float(out.split("=")[1])
         assert val == pytest.approx(19.0 * math.log(180.0), rel=1e-12)
+
+    def test_non_finite_settings_exit_1(self, tmp_path, capsys):
+        assert cli.main(["bound", "--dims", "3,3", "--rank", "1",
+                         "--tau", "nan"]) == 1
+        assert "tau must be finite and >= 1, got nan" in capsys.readouterr().err
+        model_path = tmp_path / "model.txt"
+        assert cli.main(["gen", "--dims", "3,3", "--rank", "1",
+                         "--out", str(model_path)]) == 0
+        assert cli.main(["sense", "--model", str(model_path), "--m", "5",
+                         "--alpha", "nan", "--out", str(tmp_path / "y.txt")]) == 1
+        assert "alpha must be > 0 and finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "y.txt").exists()
 
     def test_rip_probe(self, capsys):
         assert cli.main(["rip-probe", "--dims", "4,4,4", "--rank", "2",

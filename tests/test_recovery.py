@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpsense import cli, recovery
-from cpsense.io_text import write_measurements
+from cpsense.io_text import write_measurements, write_tensor
 from cpsense.recovery import (
     RecoveryConfig,
     RecoveryReport,
@@ -174,8 +174,7 @@ class TestLmSingle:
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         monkeypatch.setattr(recovery, "objective", recorded_objective)
-        run = recovery._lm_single(start, op, y,
-                                  RecoveryConfig(rank=2, max_iters=2000), 2)
+        run = recovery._lm_single(start, op, y, max_iters=2000)
         assert run.status == STATUS_STALLED
         assert run.objective < 1e-20
         # mu * shift sits on the diagonal of every damped system
@@ -252,6 +251,25 @@ class TestRecover:
         op = create_operator(20, (3, 3, 3), seed=30)
         with pytest.raises(DimensionMismatch):
             recover(op, np.zeros(19), RecoveryConfig(rank=1))
+
+    def test_wrong_shape_truth_rejected_before_the_solve(self, monkeypatch,
+                                                         tmp_path, capsys):
+        runs = []
+        monkeypatch.setattr(recovery, "_lm_single",
+                            lambda *args: runs.append(args))
+        op = create_operator(20, (3, 3, 3), seed=30)
+        with pytest.raises(DimensionMismatch, match="tensor shape"):
+            recover(op, np.ones(20), RecoveryConfig(rank=1),
+                    ground_truth=np.zeros((3, 3, 4)))
+        y_path, truth_path = tmp_path / "y.txt", tmp_path / "truth.txt"
+        write_measurements(y_path, np.ones(20))
+        write_tensor(truth_path, np.zeros((3, 4)))
+        assert cli.main(["recover", "--y", str(y_path), "--m", "20",
+                         "--shape", "3,3,3", "--rank", "1", "--op-seed", "30",
+                         "--truth", str(truth_path),
+                         "--out", str(tmp_path / "rec.txt")]) == 1
+        assert "!= operator shape (3, 3, 3)" in capsys.readouterr().err
+        assert runs == []
 
     def test_total_iterations_counts_every_lm_run(self, monkeypatch):
         runs = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpsense.sensing import create_operator
+from cpsense.tensor_core import param_count
 from cpsense.theory_bounds import (
     BoundInputs,
     covering_log_cardinality,
@@ -16,8 +17,8 @@ from cpsense.theory_bounds import (
 class TestBoundInputs:
     def test_param_sum(self):
         b = BoundInputs(dims=(10, 10, 10), rank=3, tau=8.0, eta=0.01)
-        assert b.order == 3
-        assert b.param_sum == 90
+        assert param_count(b.dims, b.rank) == 90
+        assert len(b.dims) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
