@@ -29,10 +29,8 @@ def _cmd_kappa(args) -> int:
     print(f"kappa={format_float(report.kappa)}")
     print(f"sigma_max_product={format_float(report.sigma_max_product)}")
     print(f"sigma_min_kr={format_float(report.sigma_min_kr)}")
-    if report.cond_product_bound is not None:
-        print(f"cond_product_bound={format_float(report.cond_product_bound)}")
-    else:
-        print("cond_product_bound=unavailable")
+    bound = report.cond_product_bound
+    print("cond_product_bound=" + ("unavailable" if bound is None else format_float(bound)))
     return 0
 
 

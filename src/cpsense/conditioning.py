@@ -11,6 +11,7 @@ from .seeding import mix
 from .tensor_core import (
     CpModel,
     DimensionMismatch,
+    check_count,
     check_shape,
     frobenius_norm,
     khatri_rao_chain,
@@ -70,15 +71,14 @@ class NormalizedCpForm:
 
 def kappa(model: CpModel) -> KappaReport:
     smax_prod = 1.0
-    cond_prod = 1.0
-    full_rank = True
+    cond_prod: float | None = 1.0
     for a in model.factors:
         s = np.linalg.svd(a, compute_uv=False)
         smax_prod *= float(s[0])
         # cond over the F columns is only defined with full column rank
         if a.shape[0] < a.shape[1] or s[-1] == 0.0:
-            full_rank = False
-        else:
+            cond_prod = None
+        elif cond_prod is not None:
             cond_prod *= float(s[0] / s[-1])
     chain = khatri_rao_chain(model.factors)
     s_chain = np.linalg.svd(chain, compute_uv=False)
@@ -90,7 +90,7 @@ def kappa(model: CpModel) -> KappaReport:
         kappa=math.inf if singular else smax_prod / smin_kr,
         sigma_max_product=smax_prod,
         sigma_min_kr=smin_kr,
-        cond_product_bound=cond_prod if full_rank else None,
+        cond_product_bound=cond_prod,
     )
 
 
@@ -117,8 +117,7 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
     """
     if rows < cols:
         raise DimensionMismatch(f"need rows >= cols, got {rows} < {cols}")
-    if cols < 1:
-        raise DimensionMismatch("cols must be >= 1")
+    check_count("cols", cols)
     check_kappa("condition number target", kappa_target)
     rng = np.random.default_rng(rng_seed)
     a = rng.random((rows, cols))
@@ -138,6 +137,7 @@ def generate_conditioned_model(dims, rank: int, kappa_tilde: float,
 
     Each mode uses an independent sub-seed derived from (rng_seed, mode).
     """
+    check_count("rank", rank)
     dims = check_shape(dims)
     check_rank_fits(dims, rank)
     factors = tuple(

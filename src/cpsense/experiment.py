@@ -24,6 +24,7 @@ from .sensing import GAUSSIAN, adjoint_apply, check_distribution, create_operato
 from .sensing import apply as sense_apply
 from .tensor_core import (
     CpModel,
+    check_count,
     check_positive,
     check_shape,
     khatri_rao_chain,
@@ -86,16 +87,15 @@ class ExperimentConfig:
             raise ValueError(f"kappa grid repeats a value: {self.kappa_grid}")
         check_positive("alpha", self.alpha)
         check_distribution(self.distribution)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_count("trials", self.trials)
         check_positive("success_mse_threshold", self.success_mse_threshold)
         if self.m is not None:
             m = tuple(int(v) for v in self.m)
             if len(m) not in (1, len(self.kappa_grid)):
                 raise ValueError(
                     "explicit m list must have 1 entry or one per grid point")
-            if min(m) < 1:
-                raise ValueError(f"explicit m must be >= 1, got {m}")
+            for v in m:
+                check_count("explicit m", v)
             object.__setattr__(self, "m", m)
 
     def solver(self, seed: int) -> RecoveryConfig:

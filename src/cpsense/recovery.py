@@ -23,6 +23,7 @@ parameter count and the rank-one components have comparable weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .sensing import apply as sense_apply
 from .tensor_core import (
     CpModel,
     DimensionMismatch,
+    check_count,
     frobenius_norm,
     khatri_rao_chain,
     mse,
@@ -66,12 +68,9 @@ class RecoveryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        check_count("rank", self.rank)
+        check_count("max_iters", self.max_iters)
+        check_count("restarts", self.restarts)
 
 
 @dataclass(frozen=True)
@@ -267,64 +266,64 @@ def _random_start(op, y_norm, rank, rng):
     return _scale_to_norm(factors, y_norm)
 
 
-def _ladder_start(op, y, y_norm, rank, rng, max_iters):
-    """Over-parameterized warm start via the backprojection Phi^T y."""
+def _ladder_start(op, y, y_norm, rank, rng, max_iters) -> LmRun:
+    """Over-parameterized warm start: the rank-(F+1) fit of Phi^T y, refined."""
     backprojection = adjoint_apply(op, y)
     factors = _dense_cp_als(backprojection, rank + 1, rng, _ALS_INIT_SWEEPS)
-    factors = _scale_to_norm(factors, y_norm)
-    run = _lm_single(factors, op, y, max_iters)
-    return _truncate(run.model.factors, rank), run
+    return _lm_single(_scale_to_norm(factors, y_norm), op, y, max_iters)
+
+
+@dataclass(frozen=True)
+class _StartRun:
+    """A rank-F run, its restart, and its ladder fit's LM iterations (0 if none)."""
+
+    restart: int
+    run: LmRun
+    ladder_iterations: int
 
 
 def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
             ground_truth: np.ndarray | None = None) -> RecoveryReport:
     """Run the staged Gauss-Newton solver from several random restarts.
 
-    The best restart by final objective wins (ties: lowest restart index);
-    remaining restarts are skipped once one reaches the numerical floor.
+    The (restart, stage) pairs run in order until a rank-F run reaches the
+    numerical floor; the lowest final objective wins (ties: the first run).
     A ladder stage whose ALS fit raises `LinAlgError` is skipped; the random
-    start always runs, so every restart has a stage to pick from.
+    start always runs, so there is always a run to pick from.
     """
     y = check_measurements(op, y)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements must be finite")
     if ground_truth is not None:
         ground_truth = check_tensor(op, ground_truth)
     y_norm = float(np.linalg.norm(y))
     floor = _STAGE_SUCCESS_REL * max(1.0, y_norm ** 2)
     rank = config.rank
 
-    best: LmRun | None = None
-    best_restart = best_iters = total_iters = 0
-    for k in range(config.restarts):
-        restart_seed = mix(config.seed, k)
-        stage_runs = []
+    runs: list[_StartRun] = []
+    for k, stage in product(range(config.restarts), range(1 + _N_LADDER_STAGES)):
+        rng = np.random.default_rng(mix(mix(config.seed, k), stage))
         ladder_iters = 0
-        for stage in range(1 + _N_LADDER_STAGES):
-            rng = np.random.default_rng(mix(restart_seed, stage))
-            if stage == 0:
-                factors = _random_start(op, y_norm, rank, rng)
-            else:
-                try:
-                    factors, ladder = _ladder_start(op, y, y_norm, rank, rng,
-                                                    config.max_iters)
-                except np.linalg.LinAlgError:  # the ALS lstsq did not converge
-                    continue
-                ladder_iters += ladder.iterations
-            run = _lm_single(factors, op, y, config.max_iters)
-            stage_runs.append(run)
-            if run.objective <= floor:
-                break
-        total_iters += ladder_iters + sum(r.iterations for r in stage_runs)
-        won = min(stage_runs, key=lambda s: s.objective)
-        if best is None or won.objective < best.objective:
-            best, best_restart = won, k
-            best_iters = won.iterations + ladder_iters
-        if best.objective <= floor:
+        if stage == 0:
+            factors = _random_start(op, y_norm, rank, rng)
+        else:
+            try:
+                ladder = _ladder_start(op, y, y_norm, rank, rng, config.max_iters)
+            except np.linalg.LinAlgError:  # the ALS lstsq did not converge
+                continue
+            factors = _truncate(ladder.model.factors, rank)
+            ladder_iters = ladder.iterations
+        runs.append(_StartRun(k, _lm_single(factors, op, y, config.max_iters),
+                              ladder_iters))
+        if runs[-1].run.objective <= floor:
             break
 
+    won = min(runs, key=lambda s: s.run.objective)
     return RecoveryReport(
-        model=best.model, objective=best.objective,
-        objective_trace=best.trace, iterations=best_iters,
-        restart_index=best_restart, status=best.status,
+        model=won.run.model, objective=won.run.objective,
+        objective_trace=won.run.trace, iterations=won.run.iterations + sum(
+            s.ladder_iterations for s in runs if s.restart == won.restart),
+        restart_index=won.restart, status=won.run.status,
         mse=None if ground_truth is None
-        else mse(ground_truth, reconstruct(best.model)),
-        total_iterations=total_iters)
+        else mse(ground_truth, reconstruct(won.run.model)),
+        total_iterations=sum(s.run.iterations + s.ladder_iterations for s in runs))

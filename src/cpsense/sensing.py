@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_core import DimensionMismatch, check_positive, check_shape, vec
+from .tensor_core import DimensionMismatch, check_count, check_positive, check_shape, vec
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -60,8 +60,7 @@ def check_distribution(distribution: str) -> None:
 def create_operator(m: int, shape, distribution: str = GAUSSIAN,
                     alpha: float = 1.0, seed: int = 0) -> SensingOperator:
     shape = check_shape(shape)
-    if m < 1:
-        raise ValueError(f"measurement count must be >= 1, got {m}")
+    check_count("measurement count", m)
     check_positive("alpha", alpha)
     check_distribution(distribution)
     j = int(np.prod(shape))

@@ -37,6 +37,12 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
 
+def check_count(name: str, value: int) -> None:
+    """Reject a count (a rank, a number of measurements, trials, ...) below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class CpModel:
     """A CP model: one I_n x F factor matrix per mode, weights absorbed."""

@@ -12,6 +12,7 @@ from .seeding import mix
 from .sensing import SensingOperator
 from .sensing import apply as sense_apply
 from .tensor_core import (
+    check_count,
     check_positive,
     check_shape,
     frobenius_norm,
@@ -23,8 +24,7 @@ from .tensor_core import (
 def _check_tensor_set(dims, rank: int, tau: float) -> tuple[int, ...]:
     """Check the order-N, rank-F, kappa <= tau tensor set a bound covers."""
     dims = check_shape(dims)
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    check_count("rank", rank)
     check_kappa("tau", tau)
     return dims
 
@@ -100,8 +100,7 @@ def covering_log_cardinality(dims, rank: int, tau: float, epsilon: float) -> flo
 def rip_probe(op: SensingOperator, rank: int, kappa_tilde: float,
               samples: int, seed: int) -> RipProbeResult:
     """Sample conditioned unit-Frobenius CP tensors and record ||A(X)||^2."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_count("samples", samples)
     ratios = np.empty(samples)
     for i in range(samples):
         model = generate_conditioned_model(op.shape, rank, kappa_tilde,
@@ -110,8 +109,6 @@ def rip_probe(op: SensingOperator, rank: int, kappa_tilde: float,
         x /= frobenius_norm(x)
         yv = sense_apply(op, x)
         ratios[i] = float(np.dot(yv, yv))
-    mean_r = float(ratios.mean())
-    min_r = float(ratios.min())
-    max_r = float(ratios.max())
-    return RipProbeResult(samples=samples, mean_ratio=mean_r, min_ratio=min_r,
-                          max_ratio=max_r)
+    return RipProbeResult(samples=samples, mean_ratio=float(ratios.mean()),
+                          min_ratio=float(ratios.min()),
+                          max_ratio=float(ratios.max()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpsense import cli
 from cpsense.conditioning import (
     KAPPA_FINITE,
     KAPPA_INFINITE,
@@ -9,6 +10,7 @@ from cpsense.conditioning import (
     kappa,
     normalize,
 )
+from cpsense.io_text import write_cpmodel
 from cpsense.tensor_core import (
     CpModel,
     DimensionMismatch,
@@ -63,12 +65,16 @@ class TestKappa:
         assert np.isinf(report.kappa)
         assert report.status == KAPPA_INFINITE
 
-    def test_cond_bound_unavailable_for_wide_factor(self):
+    def test_cond_bound_unavailable_for_wide_factor(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         model = CpModel((rng.standard_normal((2, 3)),
                          rng.standard_normal((4, 3)),
                          rng.standard_normal((4, 3))))
         assert kappa(model).cond_product_bound is None
+        path = tmp_path / "model.txt"
+        write_cpmodel(path, model)
+        assert cli.main(["kappa", "--model", str(path)]) == 0
+        assert "cond_product_bound=unavailable\n" in capsys.readouterr().out
 
     def test_kappa_at_least_one_and_below_cond_product(self):
         rng = np.random.default_rng(3)
@@ -135,6 +141,12 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(model)
 
+    def test_zero_tensor_rejected(self):
+        # nonzero factors whose two components cancel: 1 * 1 + (-1) * 1 = 0
+        model = CpModel((np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]])))
+        with pytest.raises(ValueError, match="tensor is zero"):
+            normalize(model)
+
 
 class TestGenerateConditionedFactor:
     def test_cond_one_means_flat_spectrum(self):
@@ -170,6 +182,10 @@ class TestGenerateConditionedFactor:
             generate_conditioned_factor(2, 3, 2.0, 0)
         with pytest.raises(ValueError):
             generate_conditioned_factor(3, 2, 0.5, 0)
+
+    def test_unknown_spacing_rejected(self):
+        with pytest.raises(ValueError, match="unknown spacing 'cubic'"):
+            generate_conditioned_factor(4, 2, 10.0, 0, spacing="cubic")
 
     @pytest.mark.parametrize("target", [np.inf, np.nan])
     def test_non_finite_target_rejected(self, target):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import shutil
 import subprocess
@@ -107,6 +108,7 @@ class TestConfigValidation:
         ({"dims": (4, 2, 4)}, "every dimension must be >= rank"),
         ({"kappa_grid": (1.0, 10.0, 1.0)}, "repeats a value"),
         ({"m": (40, 0)}, "explicit m must be >= 1"),
+        ({"kappa_grid": ()}, "kappa grid must be nonempty"),
     ])
     def test_bad_config_rejected(self, changes, message):
         fields = {"dims": (4, 4, 4), "rank": 3, "kappa_grid": (1.0, 10.0)}
@@ -257,16 +259,26 @@ class TestSelftest:
         assert results and all(results.values())
         assert elapsed < 30.0
 
-    def test_fault_injection_breaks_only_adjoint(self, monkeypatch, capsys):
-        adjoint = experiment.adjoint_apply
-        monkeypatch.setattr(experiment, "adjoint_apply",
-                            lambda op, y: -adjoint(op, y))
+    # check -> (the function of `experiment` it relies on, a faulty wrapper)
+    FAULTS = {
+        "adjoint": ("adjoint_apply", lambda f: lambda op, y: -f(op, y)),
+        "jacobian_fd": ("residual_jacobian",
+                        lambda f: lambda *args: (f(*args)[0], 2.0 * f(*args)[1])),
+        "spectral_bound": ("spectral_norm", lambda f: lambda a: 0.5 * f(a)),
+        "kappa_oracle": ("kappa", lambda f: lambda model: dataclasses.replace(
+            f(model), kappa=2.0 * f(model).kappa)),
+    }
+
+    @pytest.mark.parametrize("check", list(FAULTS))
+    def test_fault_injection_breaks_only_its_check(self, monkeypatch, capsys,
+                                                   check):
+        name, fault = self.FAULTS[check]
+        monkeypatch.setattr(experiment, name, fault(getattr(experiment, name)))
         results = experiment.selftest()
-        assert not results["adjoint"]
-        others = {k: v for k, v in results.items() if k != "adjoint"}
-        assert others and all(others.values())
+        assert set(results) == set(self.FAULTS)
+        assert [k for k, ok in results.items() if not ok] == [check]
         assert cli.main(["selftest"]) == 2
-        assert "adjoint: FAIL" in capsys.readouterr().out
+        assert f"{check}: FAIL" in capsys.readouterr().out
 
 
 class TestCli:

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from cpsense.conditioning import generate_conditioned_factor
+from cpsense import cli
+from cpsense.conditioning import generate_conditioned_factor, generate_conditioned_model
 from cpsense.experiment import ExperimentConfig
+from cpsense.recovery import RecoveryConfig
 from cpsense.sensing import create_operator
-from cpsense.theory_bounds import BoundInputs, covering_log_cardinality
+from cpsense.theory_bounds import BoundInputs, covering_log_cardinality, rip_probe
 
 NAN, INF = math.nan, math.inf
 
@@ -55,3 +57,40 @@ def test_bad_value_rejected_by_name(name, value, call):
 def test_sweep_rejects_unknown_distribution():
     with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
         _sweep(distribution="cauchy")
+
+
+_OP = create_operator(10, (3, 3), seed=0)
+
+# (count named in the message, a call taking its value); every count is >= 1
+COUNT_CASES = [
+    ("rank", lambda v: RecoveryConfig(rank=v)),
+    ("max_iters", lambda v: RecoveryConfig(rank=1, max_iters=v)),
+    ("restarts", lambda v: RecoveryConfig(rank=1, restarts=v)),
+    ("rank", lambda v: _bound(rank=v)),
+    ("rank", lambda v: covering_log_cardinality((4, 4), v, 2.0, 0.1)),
+    ("samples", lambda v: rip_probe(_OP, 1, 1.0, v, 0)),
+    ("rank", lambda v: rip_probe(_OP, v, 1.0, 5, 0)),
+    ("trials", lambda v: _sweep(trials=v)),
+    ("explicit m", lambda v: _sweep(m=(30, v))),
+    ("measurement count", lambda v: create_operator(v, (3, 3))),
+    ("rank", lambda v: generate_conditioned_model((3, 3), v, 1.0, 0)),
+    ("cols", lambda v: generate_conditioned_factor(3, v, 1.0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, value, call", [
+    pytest.param(name, value, call, id=f"{i}-{name}-{value}")
+    for i, (name, call) in enumerate(COUNT_CASES) for value in (0, -2)
+])
+def test_bad_count_rejected_by_name(name, value, call):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("args", [["gen", "--out", "model.txt"],
+                                  ["rip-probe", "--m", "10"]])
+def test_cli_names_a_zero_rank(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args + ["--dims", "4,4,4", "--rank", "0"]) == 1
+    assert capsys.readouterr().err == "error: rank must be >= 1, got 0\n"
+    assert not (tmp_path / "model.txt").exists()

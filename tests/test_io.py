@@ -78,6 +78,19 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError, match="trailing data"):
             read_cpmodel(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("cpmodel 2 1\nfactor 2 1\n1 2\nfactors 2 1\n3 4\n",
+         "expected a 'factor' header"),
+        ("cpmodel 2 1\nfactor 2 1\n1 2\n", "expected a 'factor' header"),
+        ("cpmodel 2 1\nfactor 2 1\n1 2\nfactor 2 1\n3\n",
+         "expected 2 factor values, got 1"),
+    ], ids=["misspelled keyword", "missing block", "short block"])
+    def test_bad_factor_block_rejected(self, tmp_path, text, message):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_cpmodel(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("model 2 2\n")

@@ -318,6 +318,20 @@ class TestRecover:
         assert report.iterations == won.iterations
         assert report.total_iterations == sum(r.iterations for r in runs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_measurements_rejected_before_the_solve(self, monkeypatch,
+                                                              bad):
+        runs = []
+        monkeypatch.setattr(recovery, "_lm_single",
+                            lambda *args: runs.append(args))
+        op = create_operator(20, (3, 3, 3), seed=30)
+        y = np.ones(20)
+        y[7] = bad
+        for measurements in (y, np.full(20, bad)):
+            with pytest.raises(ValueError, match="^measurements must be finite"):
+                recover(op, measurements, RecoveryConfig(rank=2))
+        assert runs == []
+
     @pytest.mark.parametrize("broken", [("solve",), ("solve", "lstsq")])
     def test_singular_solves_end_stalled(self, monkeypatch, broken):
         def raise_singular(*args, **kwargs):
@@ -363,3 +377,61 @@ class TestRecover:
                          "--out", str(tmp_path / "run")]) == 1
         assert "max_iters must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "run_rows.csv").exists()
+
+
+class TestStartSchedule:
+    """`recover`'s restart x stage search against a scripted `_lm_single`.
+
+    On 3x3x3 with F = 2 and restarts = 2 the schedule is, per restart, the
+    random start and three ladder stages, each ladder stage a rank-3 fit
+    followed by a rank-2 run.  The n-th rank-2 run takes n iterations and
+    ends at the n-th scripted objective; the j-th ladder fit takes 1000 * j.
+    With y = 1, the floor is 1e-12 * ||y||^2 = 2e-11.
+    """
+
+    def _recover(self, monkeypatch, objectives):
+        calls, runs = [], []
+
+        def scripted(factors0, op, y, max_iters):
+            model = CpModel(tuple(factors0))
+            if model.rank == 3:
+                calls.append("ladder")
+                return recovery.LmRun(model, 1.0, [1.0],
+                                      1000 * calls.count("ladder"),
+                                      STATUS_CONVERGED)
+            calls.append("run")
+            n = calls.count("run")
+            f = objectives[n - 1]
+            runs.append(recovery.LmRun(model, f, [f], n, STATUS_CONVERGED))
+            return runs[-1]
+
+        monkeypatch.setattr(recovery, "_lm_single", scripted)
+        op = create_operator(20, (3, 3, 3), seed=40)
+        report = recover(op, np.ones(20),
+                         RecoveryConfig(rank=2, restarts=2, seed=41))
+        return report, calls, runs
+
+    def test_first_minimum_wins_and_counts_every_fit(self, monkeypatch):
+        # runs 2 (restart 0, stage 1) and 6 (restart 1, stage 1) tie
+        objectives = [5.0, 1.0, 3.0, 2.0, 4.0, 1.0, 6.0, 7.0]
+        report, calls, runs = self._recover(monkeypatch, objectives)
+        assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
+                         "run"] * 2
+        assert report.restart_index == 0
+        assert report.model is runs[1].model
+        assert report.objective == 1.0 and report.objective_trace == [1.0]
+        # its own 2, plus the ladder fits of restart 0, two of which ran
+        # after the winning stage
+        assert report.iterations == 2 + 1000 + 2000 + 3000
+        assert report.total_iterations == sum(range(1, 9)) + 1000 * sum(range(1, 7))
+
+    def test_no_call_after_the_first_run_at_the_floor(self, monkeypatch):
+        # run 6 (restart 1, stage 1) is the first at or below the floor
+        objectives = [5.0, 4.0, 3.0, 2.0, 6.0, 1e-13, 0.0, 0.0]
+        report, calls, runs = self._recover(monkeypatch, objectives)
+        assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
+                         "run", "run", "ladder", "run"]
+        assert report.restart_index == 1
+        assert report.model is runs[5].model
+        assert report.iterations == 6 + 4000
+        assert report.total_iterations == sum(range(1, 7)) + 1000 * sum(range(1, 5))

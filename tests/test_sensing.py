@@ -44,6 +44,14 @@ class TestCreateOperator:
         with pytest.raises(ValueError):
             create_operator(10, (4, 5), distribution="cauchy")
 
+    @pytest.mark.parametrize("dims, message", [
+        ((4,), "tensor order must be >= 2, got 1"),
+        ((4, 0), r"all dimensions must be >= 1, got \(4, 0\)"),
+    ])
+    def test_bad_dims_rejected(self, dims, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            create_operator(10, dims)
+
 
 class TestApply:
     def test_zero_tensor(self):

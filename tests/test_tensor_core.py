@@ -43,6 +43,20 @@ def loop_khatri_rao(a, b):
     return out
 
 
+class TestCpModel:
+    @pytest.mark.parametrize("factors, error, message", [
+        ((np.ones((3, 2)),), DimensionMismatch, "at least 2 factor matrices"),
+        ((np.ones(3), np.ones((3, 1))), DimensionMismatch, "must be 2-D"),
+        ((np.ones((3, 2)), np.array([[1.0, np.nan]])), ValueError,
+         "entries must be finite"),
+        ((np.ones((3, 0)), np.ones((4, 0))), DimensionMismatch,
+         "rank must be >= 1"),
+    ], ids=["one factor", "1-D factor", "NaN entry", "zero columns"])
+    def test_bad_factors_rejected(self, factors, error, message):
+        with pytest.raises(error, match=message):
+            CpModel(factors)
+
+
 class TestReconstruct:
     def test_rank_one_outer_product(self):
         model = CpModel((np.array([[1.0], [2.0]]), np.array([[1.0], [0.0]]),
