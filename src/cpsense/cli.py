@@ -55,6 +55,7 @@ def _cmd_recover(args) -> int:
     lines = [
         f"objective={format_float(report.objective)}",
         f"iterations={report.iterations}",
+        f"total_iterations={report.total_iterations}",
         f"converged={'true' if report.converged else 'false'}",
         f"status={report.status}",
         f"restart_index={report.restart_index}",

@@ -90,13 +90,12 @@ class ExperimentConfig:
         check_count("trials", self.trials)
         check_positive("success_mse_threshold", self.success_mse_threshold)
         if self.m is not None:
-            m = tuple(int(v) for v in self.m)
-            if len(m) not in (1, len(self.kappa_grid)):
+            if len(self.m) not in (1, len(self.kappa_grid)):
                 raise ValueError(
                     "explicit m list must have 1 entry or one per grid point")
-            for v in m:
+            for v in self.m:
                 check_count("explicit m", v)
-            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "m", tuple(int(v) for v in self.m))
 
     def solver(self, seed: int) -> RecoveryConfig:
         """The solver settings of every trial, with that trial's seed."""

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_count(name: str, value: int) -> None:
-    """Reject a count (a rank, a number of measurements, trials, ...) below 1."""
+    """Reject a count (a rank, a number of measurements, trials, ...) that is
+    not an integer (a bool is not a count) or is below 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 

@@ -303,6 +303,10 @@ class TestCli:
                       if "=" in line)
         assert fields["converged"] == (
             "true" if fields["status"] == "converged" else "false")
+        # every LM run's iterations, printed right after the winner's share
+        keys = list(fields)
+        assert keys[keys.index("iterations") + 1] == "total_iterations"
+        assert int(fields["total_iterations"]) >= int(fields["iterations"])
         from cpsense.io_text import read_cpmodel
         from cpsense.tensor_core import mse, reconstruct
         truth = reconstruct(read_cpmodel(model_path))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cpsense import cli
@@ -85,6 +86,24 @@ COUNT_CASES = [
 def test_bad_count_rejected_by_name(name, value, call):
     with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
         call(value)
+
+
+@pytest.mark.parametrize("name, value, call", [
+    pytest.param(name, value, call, id=f"{i}-{name}-{value}")
+    for i, (name, call) in enumerate(COUNT_CASES)
+    for value in (2.5, 3.0, True, np.float64(2.0))
+])
+def test_non_integral_count_rejected_by_name(name, value, call):
+    # a float is not silently cut to an integer, and a bool is not a count
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer, got {value}$"):
+        call(value)
+
+
+def test_numpy_integer_counts_accepted():
+    assert RecoveryConfig(rank=np.int64(2)).rank == 2
+    assert create_operator(np.int32(7), (3, 3)).m == 7
+    assert _sweep(m=(np.int64(10),)).m == (10,)
 
 
 @pytest.mark.parametrize("args", [["gen", "--out", "model.txt"],
