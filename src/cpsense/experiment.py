@@ -136,7 +136,7 @@ class GridSummary:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat `key = value` config format (lists comma-separated)."""
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -147,10 +147,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key in raw:
             raise ValueError(f"line {lineno}: key {key!r} is set twice")
-        raw[key] = value.strip()
+        raw[key] = (lineno, value.strip())
 
     fields: dict = {}
-    preset_name = raw.pop("preset", None)
+    _, preset_name = raw.pop("preset", (None, None))
     if preset_name is not None:
         if preset_name not in PRESETS:
             raise ValueError(f"unknown preset {preset_name!r}")
@@ -169,10 +169,13 @@ def parse_config(text: str) -> ExperimentConfig:
         "restarts": int,
         "max_iters": int,
     }
-    for key, value in raw.items():
+    for key, (lineno, value) in raw.items():
         if key not in converters:
             raise ValueError(f"unknown config key {key!r}")
-        fields[key] = converters[key](value)
+        try:
+            fields[key] = converters[key](value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
 
     for required in ("dims", "rank", "kappa_grid"):
         if required not in fields:

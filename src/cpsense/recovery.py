@@ -1,9 +1,8 @@
 """Rank-constrained recovery by damped Gauss-Newton on the factor parameterization.
 
-The unknowns are the stacked factor entries, ordered mode by mode; within a
-mode the entries of the I_n x F factor are taken column-major (row index
-fastest), i.e. the flat index of A_n(i, f) inside its mode block is
-f * I_n + i.
+The unknowns are the stacked factor entries, mode by mode, each I_n x F
+factor in C order: A_n(i, f) sits at offset_n + i * F + f, the order `vec`
+uses for a tensor.
 
 Each restart escalates through several starting points until a rank-F run
 drives the objective ||y - Phi vec(X)||^2 to the floor 1e-11 * ||y||^2:
@@ -137,26 +136,22 @@ def residual_jacobian(model: CpModel, op: SensingOperator, y: np.ndarray):
         raise DimensionMismatch(f"model shape {model.shape} != operator shape {op.shape}")
     y = check_measurements(op, y)
     factors = model.factors
-    f = model.rank
-    blocks = []
-    for n, unfolding in enumerate(op.mode_unfoldings):
-        i_n = factors[n].shape[0]
-        t = unfolding @ khatri_rao_chain(factors[:n] + factors[n + 1:])
-        # t[(m, i), g] -> columns ordered (g, i), as _pack orders a factor
-        blocks.append(-t.reshape(op.m, i_n, f).transpose(0, 2, 1).reshape(op.m, f * i_n))
-    r = y + blocks[-1] @ factors[-1].ravel(order="F")
+    # row (m, i), column f of each product is column (i, f) of its block
+    blocks = [(u @ -khatri_rao_chain(factors[:n] + factors[n + 1:])).reshape(op.m, -1)
+              for n, u in enumerate(op.mode_unfoldings)]
+    r = y + blocks[-1] @ factors[-1].ravel()
     return r, np.hstack(blocks)
 
 
 def _pack(factors) -> np.ndarray:
-    return np.concatenate([a.ravel(order="F") for a in factors])
+    return np.concatenate([a.ravel() for a in factors])
 
 
 def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
     factors = []
     offset = 0
     for d in dims:
-        factors.append(x[offset:offset + d * rank].reshape((d, rank), order="F"))
+        factors.append(x[offset:offset + d * rank].reshape(d, rank))
         offset += d * rank
     return CpModel(tuple(factors))
 

@@ -23,13 +23,15 @@ class DimensionMismatch(ValueError):
 
 
 def check_shape(dims) -> tuple[int, ...]:
-    """Validate tensor dimensions (order >= 2, every dim >= 1)."""
-    dims = tuple(int(d) for d in dims)
+    """Validate tensor dimensions (order >= 2, every dim an integer >= 1)."""
+    dims = tuple(dims)
     if len(dims) < 2:
         raise DimensionMismatch(f"tensor order must be >= 2, got {len(dims)}")
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"all dimensions must be >= 1, got {dims}")
-    return dims
+    for d in dims:
+        check_count("dimension", d)
+    return tuple(int(d) for d in dims)
 
 
 def check_positive(name: str, value: float) -> None:

@@ -80,6 +80,24 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 4: key 'rank' is set twice"):
             parse_config("dims = 4,4,4\nrank = 3\nkappa_grid = 1\nrank = 2\n")
 
+    # a value its converter cannot read is reported with its line and key
+    def test_bad_int_names_line_and_key(self):
+        with pytest.raises(ValueError, match=(
+                r"^line 4: key 'trials': invalid literal for int\(\) "
+                r"with base 10: 'ten'$")):
+            parse_config("dims = 4,4\nrank = 1\nkappa_grid = 1\ntrials = ten\n")
+
+    def test_bad_float_names_line_and_key(self):
+        with pytest.raises(ValueError, match=(
+                r"^line 2: key 'alpha': could not convert string to float: 'x'$")):
+            parse_config("dims = 4,4\nalpha = x\nrank = 1\nkappa_grid = 1\n")
+
+    def test_bad_list_names_line_and_key(self):
+        with pytest.raises(ValueError, match=(
+                r"^line 1: key 'dims': invalid literal for int\(\) "
+                r"with base 10: '8.5'$")):
+            parse_config("dims = 8,8.5,8\nrank = 1\nkappa_grid = 1\n")
+
 
 class TestMeasurementCount:
     def test_default_uses_factor_times_params(self):

@@ -106,6 +106,30 @@ def test_numpy_integer_counts_accepted():
     assert _sweep(m=(np.int64(10),)).m == (10,)
 
 
+# calls taking a tensor dimension; it is not cut to an integer either
+DIMENSION_CASES = [
+    lambda v: create_operator(10, (v, 3)),
+    lambda v: _sweep(dims=(3, v, 3)),
+    lambda v: generate_conditioned_model((v, 3), 2, 2.0, 0),
+    lambda v: covering_log_cardinality((3, v), 1, 2.0, 0.1),
+]
+
+
+@pytest.mark.parametrize("value, call", [
+    pytest.param(value, call, id=f"{i}-{value}")
+    for i, call in enumerate(DIMENSION_CASES) for value in (3.7, 3.0, True)
+])
+def test_non_integral_dimension_rejected_by_name(value, call):
+    with pytest.raises(ValueError,
+                       match=f"^dimension must be an integer, got {value}$"):
+        call(value)
+
+
+def test_numpy_integer_dimensions_accepted():
+    assert create_operator(10, (np.int64(3), 3)).shape == (3, 3)
+    assert type(_sweep(dims=(np.int32(3), 3, 3)).dims[0]) is int
+
+
 @pytest.mark.parametrize("args", [["gen", "--out", "model.txt"],
                                   ["rip-probe", "--m", "10"]])
 def test_cli_names_a_zero_rank(args, tmp_path, monkeypatch, capsys):

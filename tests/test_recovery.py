@@ -88,7 +88,7 @@ class TestResidualJacobian:
     @staticmethod
     def _einsum_jacobian(model, op):
         """Block n holds -sum over the other modes of Phi times their factors,
-        with columns ordered (f, i) as _pack orders A_n."""
+        with columns ordered (i, f) as _pack orders A_n."""
         letters = string.ascii_lowercase[:model.order]
         phi = op.matrix.reshape((op.m,) + op.shape)
         blocks = []
@@ -96,7 +96,7 @@ class TestResidualJacobian:
             others = [b for k, b in enumerate(model.factors) if k != n]
             spec = ("m" + letters + ","
                     + ",".join(c + "z" for k, c in enumerate(letters) if k != n)
-                    + "->mz" + letters[n])
+                    + "->m" + letters[n] + "z")
             t = np.einsum(spec, phi, *others)
             blocks.append(-t.reshape(op.m, a.size))
         return np.hstack(blocks)
@@ -147,11 +147,15 @@ class TestPacking:
         for a, b in zip(model.factors, again.factors):
             np.testing.assert_array_equal(a, b)
 
-    def test_column_major_order_within_mode(self):
-        # flat index of A(i, f) within its block is f * rows + i
-        a = np.arange(6.0).reshape(3, 2)
-        x = _pack((a,))
-        assert x[1 * 3 + 2] == a[2, 1]
+    def test_c_order_within_mode(self):
+        # A_n(i, f) sits at offset_n + i * F + f; (0, 1) and (1, 0) are the
+        # entries a column-major layout would swap
+        a = np.arange(6.0).reshape(3, 2) + 1.0
+        b = -np.arange(8.0).reshape(4, 2) - 1.0
+        x = _pack((a, b))
+        assert x[1] == a[0, 1] and x[2] == a[1, 0]
+        assert x[6 + 1] == b[0, 1] and x[6 + 2] == b[1, 0]
+        assert x[6 + 3 * 2 + 1] == b[3, 1]
 
 
 class TestLmSingle:
