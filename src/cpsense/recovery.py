@@ -23,10 +23,16 @@ at its start and after each accepted step and ends there with status
 ``floor``.  The floor is relative to ||y||^2, so the search is invariant to
 scaling y: recover(op, c * y) takes the same restarts and stages for every
 c > 0, up to rounding.
+
+An LM run works on the packed vector and its factor views and never applies
+Phi: it scores a damping try with the last Jacobian block B_N at the trial
+point, as ||y + B_N vec(A_N)||^2, and an accepted try's B_N is reused in the
+next Jacobian, so a step computes the other N - 1 blocks only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -122,38 +128,54 @@ def objective(model: CpModel, op: SensingOperator, y: np.ndarray) -> float:
     return float(np.dot(r, r))
 
 
-def residual_jacobian(model: CpModel, op: SensingOperator, y: np.ndarray):
-    """Residual r = y - Phi vec(X) and its Jacobian w.r.t. the factor entries.
+def _jacobian_block(op: SensingOperator, factors, n: int) -> np.ndarray:
+    """Block n of the Jacobian: column (i, f) is -Phi times the vectorized
+    rank-one tensor built from the f-th factor columns with e_i at mode n.
 
-    The column for A_n(i, f) is -Phi times the vectorized rank-one tensor
-    built from the f-th factor columns with e_i substituted at mode n, so
-    block n is one product of the mode-n unfolding of Phi with the
-    Khatri-Rao product of the other factors.  The model is linear in each
-    factor, so Phi vec(X) = -J_N x_N and the residual comes from the last
-    block.
+    It is one product of the mode-n unfolding of Phi with the Khatri-Rao
+    product of the other factors; row (m, i), column f of that product is
+    column (i, f) of the block.
     """
+    others = khatri_rao_chain(factors[:n] + factors[n + 1:])
+    return (op.mode_unfoldings[n] @ -others).reshape(op.m, -1)
+
+
+def _trial_residual(op: SensingOperator, factors, y: np.ndarray):
+    """The last Jacobian block B_N at the given factors and the residual
+    r = y + B_N vec(A_N): the model is linear in each factor, so
+    Phi vec(X) = -B_N vec(A_N)."""
+    block = _jacobian_block(op, factors, len(factors) - 1)
+    return block, y + block @ factors[-1].ravel()
+
+
+def residual_jacobian(model: CpModel, op: SensingOperator, y: np.ndarray):
+    """Residual r = y - Phi vec(X) and its Jacobian w.r.t. the factor entries,
+    one `_jacobian_block` per mode."""
     if model.shape != op.shape:
         raise DimensionMismatch(f"model shape {model.shape} != operator shape {op.shape}")
     y = check_measurements(op, y)
     factors = model.factors
-    # row (m, i), column f of each product is column (i, f) of its block
-    blocks = [(u @ -khatri_rao_chain(factors[:n] + factors[n + 1:])).reshape(op.m, -1)
-              for n, u in enumerate(op.mode_unfoldings)]
-    r = y + blocks[-1] @ factors[-1].ravel()
-    return r, np.hstack(blocks)
+    block, r = _trial_residual(op, factors, y)
+    blocks = [_jacobian_block(op, factors, n) for n in range(len(factors) - 1)]
+    return r, np.hstack(blocks + [block])
 
 
 def _pack(factors) -> np.ndarray:
     return np.concatenate([a.ravel() for a in factors])
 
 
-def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
+def _factor_views(x: np.ndarray, dims, rank: int) -> list[np.ndarray]:
+    """The I_n x F factors as views of the packed vector x."""
     factors = []
     offset = 0
     for d in dims:
         factors.append(x[offset:offset + d * rank].reshape(d, rank))
         offset += d * rank
-    return CpModel(tuple(factors))
+    return factors
+
+
+def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
+    return CpModel(tuple(_factor_views(x, dims, rank)))
 
 
 def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
@@ -170,44 +192,58 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     predicts, and resets nu to 2; a rejected try scales mu by nu and
     doubles nu.  A step so small that x - delta rounds back to x ends the
     run as stalled.
+
+    The run works on the packed vector x and its factor views; ``y`` is
+    taken as checked.  Each try is scored with `_trial_residual`, whose
+    last Jacobian block becomes part of the next Jacobian when the try is
+    accepted, so a step computes the other N - 1 blocks only.  The one
+    `CpModel` is built when the run ends.
     """
     dims = op.shape
     rank = factors0[0].shape[1]
     x = _pack(factors0)
-    model = _unpack(x, dims, rank)
-    r, jac = residual_jacobian(model, op, y)
-    f_val = float(np.dot(r, r))
+    block, r = _trial_residual(op, _factor_views(x, dims, rank), y)
+    f_val = float(r @ r)
     trace = [f_val]
     if f_val <= floor:
-        return LmRun(model, f_val, trace, 0, STATUS_FLOOR)
+        return LmRun(_unpack(x, dims, rank), f_val, trace, 0, STATUS_FLOOR)
 
+    size = x.size
+    cols = np.cumsum([0] + [d * rank for d in dims])
+    jac = np.empty((op.m, size))
+    # J^T J, with mu * shift set on its diagonal for each try
+    damped = np.empty((size, size))
+    damped_diag = damped.reshape(-1)[::size + 1]
     mu = _DAMPING_INIT
     nu = 2.0
-    on_diag = np.diag_indices(x.size)
     status = STATUS_MAX_ITERS
     it = 0
     for it in range(1, max_iters + 1):
-        jtj = jac.T @ jac
+        factors = _factor_views(x, dims, rank)
+        for n in range(len(dims) - 1):
+            jac[:, cols[n]:cols[n + 1]] = _jacobian_block(op, factors, n)
+        jac[:, cols[-2]:] = block
+        np.matmul(jac.T, jac, out=damped)
         g = jac.T @ r
-        diag = np.diag(jtj)
+        diag = damped_diag.copy()
         dmax = max(float(diag.max()), np.finfo(float).tiny)
         shift = np.maximum(diag, _DIAG_FLOOR * dmax)
         # below this length, x - delta rounds back to (about) x
-        min_step = np.finfo(float).eps * float(np.linalg.norm(x))
+        min_step = np.finfo(float).eps * math.sqrt(x @ x)
         accepted = False
         for _ in range(_MAX_DAMPING_RETRIES):
-            damped = jtj.copy()
-            damped[on_diag] += mu * shift
+            damped_diag[:] = diag + mu * shift
             try:
                 delta = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
                 delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
-                if float(np.linalg.norm(delta)) <= min_step:
+            if delta is not None and np.isfinite(delta).all():
+                if math.sqrt(delta @ delta) <= min_step:
                     break
                 x_new = x - delta
-                trial = _unpack(x_new, dims, rank)
-                f_new = objective(trial, op, y)
+                block_new, r_new = _trial_residual(
+                    op, _factor_views(x_new, dims, rank), y)
+                f_new = float(r_new @ r_new)
                 if f_new < f_val:
                     accepted = True
                     gain = f_val - f_new
@@ -225,7 +261,7 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
             status = STATUS_STALLED
             break
         rel_change = (f_val - f_new) / f_val
-        x, model, f_val = x_new, trial, f_new
+        x, block, r, f_val = x_new, block_new, r_new, f_new
         trace.append(f_val)
         if f_val <= floor:
             status = STATUS_FLOOR
@@ -233,9 +269,8 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
         if rel_change < _REL_OBJ_TOL:
             status = STATUS_CONVERGED
             break
-        r, jac = residual_jacobian(model, op, y)
 
-    return LmRun(model, f_val, trace, it, status)
+    return LmRun(_unpack(x, dims, rank), f_val, trace, it, status)
 
 
 def _scale_to_norm(factors, target: float):

@@ -11,6 +11,7 @@ from cpsense.recovery import (
     RecoveryReport,
     STATUS_CONVERGED,
     STATUS_FLOOR,
+    STATUS_MAX_ITERS,
     STATUS_STALLED,
     objective,
     recover,
@@ -168,24 +169,29 @@ class TestLmSingle:
         y = apply(op, truth)
         rng = np.random.default_rng(0)
         start = [rng.standard_normal((3, 2)) for _ in range(3)]
-        damped_finite, tries = [], []
+        damped_finite, evaluated = [], []
         solve = np.linalg.solve
+        trial_residual = recovery._trial_residual
 
         def recorded_solve(a, b):
             damped_finite.append(bool(np.all(np.isfinite(a))))
             return solve(a, b)
 
-        def recorded_objective(*args):
-            tries.append(objective(*args))
-            return tries[-1]
+        def recorded_trial_residual(*args):
+            block, r = trial_residual(*args)
+            evaluated.append(float(r @ r))
+            return block, r
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-        monkeypatch.setattr(recovery, "objective", recorded_objective)
+        monkeypatch.setattr(recovery, "_trial_residual", recorded_trial_residual)
         run = recovery._lm_single(start, op, y, max_iters=2000, floor=0.0)
         assert run.status == STATUS_STALLED
         assert run.objective < 1e-20
         # mu * shift sits on the diagonal of every damped system
         assert damped_finite and all(damped_finite)
+        # the first evaluation is the start; every later one is a try
+        assert evaluated[0] == run.trace[0]
+        tries = evaluated[1:]
         # exactly the tries below the current objective were accepted
         accepted, current = [], run.trace[0]
         for f_try in tries:
@@ -196,6 +202,83 @@ class TestLmSingle:
         # the negligible-step test, not the retry cap, ended the run
         after_last = len(tries) - tries.index(run.trace[-1]) - 1
         assert after_last < recovery._MAX_DAMPING_RETRIES
+
+    @pytest.mark.parametrize("dims", [(3, 4, 2), (4, 3), (2, 3, 2, 2)])
+    def test_every_try_and_step_matches_residual_jacobian(self, monkeypatch,
+                                                          dims):
+        # the loop reuses an accepted try's last block in the next Jacobian;
+        # its J and r must be residual_jacobian's at the same point, bit for
+        # bit, which the damped system J^T J + D and right side J^T r show
+        rank = 2
+        op = create_operator(2 * sum(dims) * rank, dims, seed=50)
+        y = apply(op, reconstruct(_random_model(dims, rank, 51)))
+        start = list(_random_model(dims, rank, 52).factors)
+        events = []
+        solve = np.linalg.solve
+        trial_residual = recovery._trial_residual
+
+        def recorded_solve(a, b):
+            events.append(("solve", a.copy(), b.copy()))
+            return solve(a, b)
+
+        def recorded_trial_residual(op_, factors, y_):
+            block, r = trial_residual(op_, factors, y_)
+            events.append(("try", [a.copy() for a in factors], block.copy(),
+                           r.copy()))
+            return block, r
+
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        monkeypatch.setattr(recovery, "_trial_residual", recorded_trial_residual)
+        run = recovery._lm_single(start, op, y, max_iters=30, floor=0.0)
+        monkeypatch.undo()
+        assert run.iterations >= 2
+
+        # the first evaluation is the start; a try is accepted when it
+        # lowers the objective
+        current, f_current, solves = None, np.inf, 0
+        for event in events:
+            if event[0] == "try":
+                _, factors, block, r = event
+                r_ref, j_ref = residual_jacobian(CpModel(tuple(factors)), op, y)
+                np.testing.assert_array_equal(r, r_ref)
+                np.testing.assert_array_equal(block, j_ref[:, -block.shape[1]:])
+                if float(r @ r) < f_current:
+                    current = factors, r_ref, j_ref
+                    f_current = float(r @ r)
+            else:
+                _, damped, g = event
+                _, r_ref, j_ref = current
+                np.testing.assert_array_equal(g, j_ref.T @ r_ref)
+                off_diag = ~np.eye(g.size, dtype=bool)
+                np.testing.assert_array_equal(damped[off_diag],
+                                              (j_ref.T @ j_ref)[off_diag])
+                solves += 1
+        assert solves >= run.iterations
+        assert run.objective == f_current
+        np.testing.assert_array_equal(_pack(run.model.factors),
+                                      _pack(current[0]))
+
+    @pytest.mark.parametrize("max_iters, floor, status", [
+        (2000, np.inf, STATUS_FLOOR), (1, 0.0, STATUS_MAX_ITERS),
+        (5, 0.0, STATUS_MAX_ITERS), (2000, 0.0, STATUS_STALLED)])
+    def test_builds_one_model_per_run(self, monkeypatch, max_iters, floor,
+                                      status):
+        truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 1.0, 0))
+        op = create_operator(24, (3, 3, 3), seed=10)
+        y = apply(op, truth)
+        rng = np.random.default_rng(0)
+        start = [rng.standard_normal((3, 2)) for _ in range(3)]
+        builds = []
+        post_init = CpModel.__post_init__
+
+        def counted(model):
+            builds.append(model)
+            post_init(model)
+
+        monkeypatch.setattr(CpModel, "__post_init__", counted)
+        run = recovery._lm_single(start, op, y, max_iters=max_iters, floor=floor)
+        assert run.status == status
+        assert len(builds) == 1 and builds[0] is run.model
 
     def test_run_ends_at_the_first_step_at_or_below_the_floor(self):
         truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 1.0, 0))
@@ -238,6 +321,25 @@ class TestRecover:
         assert trace[-1] == pytest.approx(report.objective, rel=1e-12)
         assert trace[-1] == pytest.approx(
             objective(report.model, op, y), rel=1e-9, abs=1e-18)
+
+    def test_reported_objective_is_the_models_at_the_floor(self):
+        # the Fig. 1 sweep's kappa_tilde = 1000 trial 0 at base seed 1.  The
+        # run scores y + B_N vec(A_N), `objective` scores y - Phi vec(X);
+        # at the floor ||r|| is about 3e-6 ||y||, so the two squared norms
+        # differ relatively by ~1e-10, while the residual norms agree to
+        # rounding in ||y||
+        trial_seed = mix(mix(1, 3), 0)
+        model = generate_conditioned_model((8, 8, 8), 3, 1000.0,
+                                           mix(trial_seed, _MODEL_STREAM))
+        op = create_operator(108, (8, 8, 8), seed=mix(trial_seed, _OP_STREAM))
+        y = apply(op, reconstruct(model))
+        report = recover(op, y, RecoveryConfig(
+            rank=3, seed=mix(trial_seed, _SOLVER_STREAM)))
+        y_norm = float(np.linalg.norm(y))
+        assert report.status == STATUS_FLOOR
+        assert report.objective <= 1e-11 * y_norm ** 2
+        assert abs(np.sqrt(report.objective)
+                   - np.sqrt(objective(report.model, op, y))) <= 1e-14 * y_norm
 
     def test_deterministic(self):
         truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 3.0, 21))
