@@ -59,6 +59,7 @@ def _cmd_recover(args) -> int:
         f"converged={'true' if report.converged else 'false'}",
         f"status={report.status}",
         f"restart_index={report.restart_index}",
+        f"stage_index={report.stage_index}",
     ]
     if report.mse is not None:
         lines.append(f"mse={format_float(report.mse)}")

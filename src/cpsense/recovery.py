@@ -22,7 +22,11 @@ Every LM run, rank-F runs and rank-(F+1) ladder fits alike, checks the floor
 at its start and after each accepted step and ends there with status
 ``floor``.  The floor is relative to ||y||^2, so the search is invariant to
 scaling y: recover(op, c * y) takes the same restarts and stages for every
-c > 0, up to rounding.
+c > 0, up to rounding.  A run that is not at the floor ends as ``converged``
+once an accepted step lowers the objective by less than 2.2e-16 of it, or
+once the last 20 accepted steps together lowered it by less than 1e-7 of it
+(a plateau; Madsen, Nielsen & Tingleff stop on such negligible progress).
+Both tests are relative, so they keep the search invariant to scaling y.
 
 An LM run works on the packed vector and its factor views and never applies
 Phi: it scores a damping try with the last Jacobian block B_N at the trial
@@ -69,8 +73,18 @@ _ALS_INIT_SWEEPS = 30
 # a run converges once an accepted step lowers the objective by less than
 # this fraction of it
 _REL_OBJ_TOL = 2.2e-16
+# ... or once the last _PLATEAU_STEPS accepted steps together lowered it by
+# less than _PLATEAU_REL_TOL of it.  Margin, on the Fig. 1 criterion-1 sweep
+# at base seeds 1 and 3: in the 116 rank-F runs that reached the floor after
+# more than 20 steps, the flattest 20-step window lowered the objective by
+# 8.6e-6 of it, 86 times the tolerance
+_PLATEAU_STEPS = 20
+_PLATEAU_REL_TOL = 1e-7
 # initial LM damping mu
 _DAMPING_INIT = 1e-3
+# float64 limits, looked up once rather than on every LM step
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,8 @@ class RecoveryConfig:
 class RecoveryReport:
     """Outcome of `recover`: the best restart's model and how it was reached.
 
+    ``restart_index`` and ``stage_index`` name the winning rank-F run: its
+    restart and its start stage (0 the random start, 1-3 a ladder stage).
     ``iterations`` counts the LM iterations of the winning restart's best
     stage plus those of the rank-(F+1) ladder fits run in that restart.
     ``total_iterations`` counts the LM iterations of every run, over all
@@ -101,6 +117,7 @@ class RecoveryReport:
     objective_trace: list[float]
     iterations: int
     restart_index: int
+    stage_index: int
     status: str
     mse: float | None
     total_iterations: int
@@ -183,7 +200,12 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     """One damped Gauss-Newton run from the given factors, at their rank.
 
     The run ends as `floor` at the start or after the first accepted step
-    whose objective is at most ``floor``.
+    whose objective is at most ``floor``.  After any other accepted step it
+    ends as `converged` if that step lowered the objective by less than
+    2.2e-16 of it, or if the last 20 accepted steps together lowered it by
+    less than 1e-7 of it.  The plateau test reads f > (1 - 1e-7) * f_{-20}, with
+    f_{-20} the objective 20 accepted steps back: a product, not a ratio, so
+    it is safe at f = 0 and free of the scale of y.
 
     The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
     Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
@@ -226,10 +248,10 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
         np.matmul(jac.T, jac, out=damped)
         g = jac.T @ r
         diag = damped_diag.copy()
-        dmax = max(float(diag.max()), np.finfo(float).tiny)
+        dmax = max(float(diag.max()), _TINY)
         shift = np.maximum(diag, _DIAG_FLOOR * dmax)
         # below this length, x - delta rounds back to (about) x
-        min_step = np.finfo(float).eps * math.sqrt(x @ x)
+        min_step = _EPS * math.sqrt(x @ x)
         accepted = False
         for _ in range(_MAX_DAMPING_RETRIES):
             damped_diag[:] = diag + mu * shift
@@ -266,7 +288,9 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
         if f_val <= floor:
             status = STATUS_FLOOR
             break
-        if rel_change < _REL_OBJ_TOL:
+        if rel_change < _REL_OBJ_TOL or (
+                len(trace) > _PLATEAU_STEPS and f_val
+                > (1.0 - _PLATEAU_REL_TOL) * trace[-1 - _PLATEAU_STEPS]):
             status = STATUS_CONVERGED
             break
 
@@ -319,9 +343,11 @@ def _ladder_start(op, y, y_norm, rank, rng, max_iters, floor) -> LmRun:
 
 @dataclass(frozen=True)
 class _StartRun:
-    """A rank-F run, its restart, and its ladder fit's LM iterations (0 if none)."""
+    """A rank-F run, its restart and start stage, and its ladder fit's LM
+    iterations (0 if none)."""
 
     restart: int
+    stage: int
     run: LmRun
     ladder_iterations: int
 
@@ -358,9 +384,9 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
                 continue
             factors = _truncate(ladder.model.factors, rank)
             ladder_iters = ladder.iterations
-        runs.append(_StartRun(k, _lm_single(factors, op, y, config.max_iters,
-                                            floor), ladder_iters))
-        if runs[-1].run.objective <= floor:
+        run = _lm_single(factors, op, y, config.max_iters, floor)
+        runs.append(_StartRun(k, stage, run, ladder_iters))
+        if run.objective <= floor:
             break
 
     won = min(runs, key=lambda s: s.run.objective)
@@ -368,7 +394,8 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
         model=won.run.model, objective=won.run.objective,
         objective_trace=won.run.trace, iterations=won.run.iterations + sum(
             s.ladder_iterations for s in runs if s.restart == won.restart),
-        restart_index=won.restart, status=won.run.status,
+        restart_index=won.restart, stage_index=won.stage,
+        status=won.run.status,
         mse=None if ground_truth is None
         else mse(ground_truth, reconstruct(won.run.model)),
         total_iterations=sum(s.run.iterations + s.ladder_iterations for s in runs))

@@ -325,6 +325,9 @@ class TestCli:
         keys = list(fields)
         assert keys[keys.index("iterations") + 1] == "total_iterations"
         assert int(fields["total_iterations"]) >= int(fields["iterations"])
+        # the winner's start stage, printed right after its restart
+        assert keys[keys.index("restart_index") + 1] == "stage_index"
+        assert int(fields["stage_index"]) in range(4)
         from cpsense.io_text import read_cpmodel
         from cpsense.tensor_core import mse, reconstruct
         truth = reconstruct(read_cpmodel(model_path))

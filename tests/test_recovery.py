@@ -31,6 +31,25 @@ def _random_model(dims, rank, seed):
     return CpModel(tuple(rng.standard_normal((d, rank)) for d in dims))
 
 
+def _fig1_instance(grid_index, trial_index):
+    """The Fig. 1 sweep's instance at base seed 1 (8x8x8, F = 3, M = 108,
+    kappa_tilde from (1, 10, 100, 1000)): operator, measurements and the
+    solver seed."""
+    trial_seed = mix(mix(1, grid_index), trial_index)
+    model = generate_conditioned_model((8, 8, 8), 3,
+                                       (1.0, 10.0, 100.0, 1000.0)[grid_index],
+                                       mix(trial_seed, _MODEL_STREAM))
+    op = create_operator(108, (8, 8, 8), seed=mix(trial_seed, _OP_STREAM))
+    return op, apply(op, reconstruct(model)), mix(trial_seed, _SOLVER_STREAM)
+
+
+def _plateau_ends(trace):
+    """The trace indices i at which the 20 accepted steps up to step i
+    lowered the objective by less than 1e-7 of it."""
+    return [i for i in range(20, len(trace))
+            if trace[i] > (1.0 - 1e-7) * trace[i - 20]]
+
+
 class TestObjective:
     def test_zero_at_consistent_measurements(self):
         model = _random_model((3, 3, 3), 2, 0)
@@ -279,6 +298,48 @@ class TestLmSingle:
         run = recovery._lm_single(start, op, y, max_iters=max_iters, floor=floor)
         assert run.status == status
         assert len(builds) == 1 and builds[0] is run.model
+
+    def test_flat_run_ends_converged_on_the_plateau_test(self):
+        # the Fig. 1 kappa_tilde = 1, trial 1 random start of restart 0: it
+        # holds the objective near 0.1074 ||y||^2 for hundreds of steps, and
+        # without the plateau test it ends at max_iters 500
+        op, y, seed = _fig1_instance(0, 1)
+        runs = []
+        for c in (1.0, 1e3):
+            y_c = c * y
+            rng = np.random.default_rng(mix(mix(seed, 0), 0))
+            start = recovery._random_start(op, float(np.linalg.norm(y_c)), 3,
+                                           rng)
+            run = recovery._lm_single(start, op, y_c, max_iters=500,
+                                      floor=1e-11 * float(y_c @ y_c))
+            assert run.status == STATUS_CONVERGED
+            assert run.iterations < 500
+            assert run.objective == pytest.approx(0.1074 * float(y_c @ y_c),
+                                                  rel=1e-3)
+            # the last 21 values meet the rule and no earlier window does
+            assert _plateau_ends(run.trace) == [run.iterations]
+            # the per-step test did not end it
+            assert run.trace[-1] < (1.0 - 2.2e-16) * run.trace[-2]
+            runs.append((start, run))
+        # the 1e3 start differs from the first by rounding, which can move
+        # the step at which a window first falls below 1e-7; scaled by
+        # powers of two, every value scales exactly and so must the run
+        start, run = runs[0]
+        scaled = recovery._lm_single([2.0 ** 10 * a for a in start], op,
+                                     2.0 ** 30 * y, max_iters=500,
+                                     floor=1e-11 * float(y @ y) * 2.0 ** 60)
+        assert (scaled.status, scaled.iterations) == (run.status, run.iterations)
+        assert scaled.trace == [2.0 ** 60 * v for v in run.trace]
+
+    def test_plateau_test_leaves_a_run_that_reaches_the_floor(self):
+        # the Fig. 1 kappa_tilde = 1000, trial 0 winner, restart 0, stage 1:
+        # 125 steps to the floor, as without the plateau test
+        op, y, seed = _fig1_instance(3, 0)
+        report = recover(op, y, RecoveryConfig(rank=3, seed=seed))
+        assert (report.restart_index, report.stage_index) == (0, 1)
+        assert report.status == STATUS_FLOOR
+        assert len(report.objective_trace) == 126
+        assert _plateau_ends(report.objective_trace) == []
 
     def test_run_ends_at_the_first_step_at_or_below_the_floor(self):
         truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 1.0, 0))
@@ -564,7 +625,7 @@ class TestStartSchedule:
         report, calls, runs = self._recover(monkeypatch, objectives)
         assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
                          "run"] * 2
-        assert report.restart_index == 0
+        assert (report.restart_index, report.stage_index) == (0, 1)
         assert report.model is runs[1].model
         assert report.objective == 1.0 and report.objective_trace == [1.0]
         # its own 2, plus the ladder fits of restart 0, two of which ran
@@ -578,7 +639,7 @@ class TestStartSchedule:
         report, calls, runs = self._recover(monkeypatch, objectives)
         assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
                          "run", "run", "ladder", "run"]
-        assert report.restart_index == 1
+        assert (report.restart_index, report.stage_index) == (1, 1)
         assert report.model is runs[5].model
         assert report.iterations == 6 + 4000
         assert report.total_iterations == sum(range(1, 7)) + 1000 * sum(range(1, 5))
