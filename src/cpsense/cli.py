@@ -17,7 +17,7 @@ from .tensor_core import reconstruct
 
 def _cmd_gen(args) -> int:
     model = conditioning.generate_conditioned_model(
-        args.dims, args.rank, args.kappa, args.seed, args.spacing)
+        args.dims, args.rank, args.kappa, args.seed)
     io_text.write_cpmodel(args.out, model)
     print(f"wrote {args.out}")
     return 0
@@ -56,7 +56,6 @@ def _cmd_recover(args) -> int:
         f"objective={format_float(report.objective)}",
         f"iterations={report.iterations}",
         f"total_iterations={report.total_iterations}",
-        f"converged={'true' if report.converged else 'false'}",
         f"status={report.status}",
         f"restart_index={report.restart_index}",
         f"stage_index={report.stage_index}",
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spacing", choices=["linear", "log"], default="linear")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

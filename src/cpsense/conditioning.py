@@ -108,11 +108,11 @@ def normalize(model: CpModel) -> NormalizedCpForm:
 
 
 def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
-                                rng_seed: int, spacing: str = "linear") -> np.ndarray:
+                                rng_seed: int) -> np.ndarray:
     """Random rows x cols matrix with condition number exactly kappa_target.
 
     Entries start i.i.d. uniform on [0, 1); the singular values are then
-    replaced by a sequence running from 1 down to 1/kappa_target while the
+    replaced by values evenly spaced from 1 down to 1/kappa_target while the
     singular vectors are kept, so the spectral norm is 1.
     """
     if rows < cols:
@@ -122,17 +122,12 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
     rng = np.random.default_rng(rng_seed)
     a = rng.random((rows, cols))
     u, _, vt = np.linalg.svd(a, full_matrices=False)
-    if spacing == "linear":
-        s = np.linspace(1.0, 1.0 / kappa_target, cols)
-    elif spacing == "log":
-        s = np.geomspace(1.0, 1.0 / kappa_target, cols)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+    s = np.linspace(1.0, 1.0 / kappa_target, cols)
     return (u * s) @ vt
 
 
 def generate_conditioned_model(dims, rank: int, kappa_tilde: float,
-                               rng_seed: int, spacing: str = "linear") -> CpModel:
+                               rng_seed: int) -> CpModel:
     """CP model whose factors all have condition number kappa_tilde.
 
     Each mode uses an independent sub-seed derived from (rng_seed, mode).
@@ -141,7 +136,7 @@ def generate_conditioned_model(dims, rank: int, kappa_tilde: float,
     dims = check_shape(dims)
     check_rank_fits(dims, rank)
     factors = tuple(
-        generate_conditioned_factor(d, rank, kappa_tilde, mix(rng_seed, n), spacing)
+        generate_conditioned_factor(d, rank, kappa_tilde, mix(rng_seed, n))
         for n, d in enumerate(dims)
     )
     return CpModel(factors)

@@ -20,8 +20,8 @@ from .conditioning import check_kappa, check_rank_fits, generate_conditioned_mod
 from .io_text import format_float, parse_list
 from .recovery import RecoveryConfig, _pack, _unpack, recover, residual_jacobian
 from .seeding import mix
-from .sensing import GAUSSIAN, adjoint_apply, check_distribution, create_operator
-from .sensing import apply as sense_apply
+from .sensing import GAUSSIAN, adjoint_apply, check_distribution, check_operator_size
+from .sensing import apply as sense_apply, create_operator
 from .tensor_core import (
     CpModel,
     check_count,
@@ -96,6 +96,8 @@ class ExperimentConfig:
             for v in self.m:
                 check_count("explicit m", v)
             object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        for i in range(len(self.kappa_grid)):
+            check_operator_size(self.m_for(i), self.dims)
 
     def solver(self, seed: int) -> RecoveryConfig:
         """The solver settings of every trial, with that trial's seed."""

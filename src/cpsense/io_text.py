@@ -6,6 +6,8 @@ in double precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor_core import CpModel, check_shape
@@ -89,9 +91,9 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(
             f"a tensor needs order >= 2 and every dim >= 1, got {dims}")
     values = _read_values(tokens[2 + order:])
-    if values.size != int(np.prod(dims)):
+    if values.size != math.prod(dims):
         raise FormatError(
-            f"expected {int(np.prod(dims))} values, got {values.size}")
+            f"expected {math.prod(dims)} values, got {values.size}")
     return values.reshape(dims)
 
 

@@ -57,18 +57,23 @@ def check_distribution(distribution: str) -> None:
         raise ValueError(f"unknown distribution {distribution!r}")
 
 
+def check_operator_size(m: int, shape) -> None:
+    """Reject an M x prod(shape) operator of more than MAX_ENTRIES entries;
+    the count is a Python integer, so no shape can wrap it around."""
+    entries = int(m) * math.prod(int(d) for d in shape)
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"operator would hold {entries} entries "
+                         f"(> {MAX_ENTRIES}); use a smaller instance")
+
+
 def create_operator(m: int, shape, distribution: str = GAUSSIAN,
                     alpha: float = 1.0, seed: int = 0) -> SensingOperator:
     shape = check_shape(shape)
     check_count("measurement count", m)
     check_positive("alpha", alpha)
     check_distribution(distribution)
-    j = int(np.prod(shape))
-    if m * j > MAX_ENTRIES:
-        raise ValueError(
-            f"operator would hold {m * j} entries (> {MAX_ENTRIES}); "
-            "use a smaller instance"
-        )
+    check_operator_size(m, shape)
+    j = math.prod(shape)
     scale = math.sqrt(alpha / m)
     rng = np.random.default_rng(seed)
     if distribution == GAUSSIAN:

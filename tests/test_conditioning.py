@@ -160,11 +160,6 @@ class TestGenerateConditionedFactor:
         np.testing.assert_allclose(s, [1.0, 0.55, 0.1], atol=1e-10)
         assert s[0] / s[-1] == pytest.approx(10.0, rel=1e-8)
 
-    def test_log_spacing(self):
-        a = generate_conditioned_factor(8, 3, 100.0, 42, spacing="log")
-        s = np.linalg.svd(a, compute_uv=False)
-        np.testing.assert_allclose(s, [1.0, 0.1, 0.01], atol=1e-10)
-
     def test_deterministic(self):
         a = generate_conditioned_factor(7, 3, 5.0, 123)
         b = generate_conditioned_factor(7, 3, 5.0, 123)
@@ -182,10 +177,6 @@ class TestGenerateConditionedFactor:
             generate_conditioned_factor(2, 3, 2.0, 0)
         with pytest.raises(ValueError):
             generate_conditioned_factor(3, 2, 0.5, 0)
-
-    def test_unknown_spacing_rejected(self):
-        with pytest.raises(ValueError, match="unknown spacing 'cubic'"):
-            generate_conditioned_factor(4, 2, 10.0, 0, spacing="cubic")
 
     @pytest.mark.parametrize("target", [np.inf, np.nan])
     def test_non_finite_target_rejected(self, target):

@@ -37,6 +37,14 @@ class TestTensorRoundTrip:
         with pytest.raises(FormatError):
             read_tensor(path)
 
+    def test_huge_header_value_count_does_not_wrap_around(self, tmp_path):
+        # 2^64 values: a product in int64 wraps to 0, which no values match
+        path = tmp_path / "x.txt"
+        path.write_text("tensor 2 4294967296 4294967296\n")
+        with pytest.raises(FormatError,
+                           match="expected 18446744073709551616 values, got 0"):
+            read_tensor(path)
+
     @pytest.mark.parametrize("text", ["tensor 2 -2 -2\n1 2 3 4\n",
                                       "tensor -1\n", "tensor 2 2\n"])
     def test_bad_dimensions(self, tmp_path, text):

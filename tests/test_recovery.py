@@ -318,8 +318,6 @@ class TestLmSingle:
                                                   rel=1e-3)
             # the last 21 values meet the rule and no earlier window does
             assert _plateau_ends(run.trace) == [run.iterations]
-            # the per-step test did not end it
-            assert run.trace[-1] < (1.0 - 2.2e-16) * run.trace[-2]
             runs.append((start, run))
         # the 1e3 start differs from the first by rounding, which can move
         # the step at which a window first falls below 1e-7; scaled by
@@ -471,6 +469,28 @@ class TestRecover:
         assert report.total_iterations == sum(r.iterations for r in runs)
         assert report.total_iterations >= report.iterations
 
+    def test_one_backprojection_per_recover(self, monkeypatch):
+        backprojections, fits = [], []
+
+        def counted_adjoint(op, y):
+            backprojections.append(y)
+            return adjoint(op, y)
+
+        def counted_als(x_tensor, rank, rng):
+            fits.append(x_tensor)
+            return als(x_tensor, rank, rng)
+
+        adjoint, als = recovery.adjoint_apply, recovery._dense_cp_als
+        monkeypatch.setattr(recovery, "adjoint_apply", counted_adjoint)
+        monkeypatch.setattr(recovery, "_dense_cp_als", counted_als)
+        # the instance of the test above: every ladder stage of restart 0 runs
+        truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
+        op = create_operator(36, (4, 4, 4), seed=109)
+        recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=200))
+        assert len(fits) >= 2
+        assert len(backprojections) == 1
+        assert all(x is fits[0] for x in fits)
+
     def test_failed_ladder_als_leaves_the_random_starts(self, monkeypatch):
         runs = []
 
@@ -524,15 +544,15 @@ class TestRecover:
         op = create_operator(24, (3, 3, 3), seed=32)
         y = apply(op, truth)
         report = recover(op, y, RecoveryConfig(rank=2, restarts=2, seed=33))
-        assert report.status == STATUS_STALLED and not report.converged
+        assert report.status == STATUS_STALLED
         assert report.iterations >= 1
         assert report.objective_trace == [report.objective]
 
-    def test_report_is_frozen_and_converged_follows_status(self):
+    def test_report_is_frozen_and_status_names_the_end(self):
         truth = reconstruct(generate_conditioned_model((3, 3, 3), 1, 1.0, 34))
         op = create_operator(20, (3, 3, 3), seed=35)
         report = recover(op, apply(op, truth), RecoveryConfig(rank=1, seed=36))
-        assert report.converged == (report.status == STATUS_CONVERGED)
+        assert report.status == STATUS_FLOOR
         with pytest.raises(AttributeError):
             report.mse = 0.0
 

@@ -30,6 +30,11 @@ class TestCreateOperator:
         with pytest.raises(ValueError, match="smaller instance"):
             create_operator(10**6, (1000, 1000), seed=0)
 
+    def test_entry_count_does_not_wrap_around(self):
+        # 2^64 entries per measurement: a product in int64 wraps to 0
+        with pytest.raises(ValueError, match="smaller instance"):
+            create_operator(10, (2**32, 2**32), seed=0)
+
     def test_compares_and_hashes_by_identity(self):
         a = create_operator(20, (4, 5), seed=77)
         b = create_operator(20, (4, 5), seed=77)
