@@ -55,7 +55,6 @@ def _cmd_recover(args) -> int:
     lines = [
         f"objective={format_float(report.objective)}",
         f"iterations={report.iterations}",
-        f"total_iterations={report.total_iterations}",
         f"status={report.status}",
         f"restart_index={report.restart_index}",
         f"stage_index={report.stage_index}",

@@ -103,10 +103,8 @@ class RecoveryReport:
 
     ``restart_index`` and ``stage_index`` name the winning rank-F run: its
     restart and its start stage (0 the random start, 1-3 a ladder stage).
-    ``iterations`` counts the LM iterations of the winning restart's best
-    stage plus those of the rank-(F+1) ladder fits run in that restart.
-    ``total_iterations`` counts the LM iterations of every run, over all
-    restarts, stages and ladder fits: the solver work that ran.
+    ``iterations`` counts the LM iterations of every run, rank-F runs and
+    rank-(F+1) ladder fits, over all restarts: the solver work that ran.
     """
 
     model: CpModel
@@ -117,7 +115,6 @@ class RecoveryReport:
     stage_index: int
     status: str
     mse: float | None
-    total_iterations: int
 
 
 @dataclass(frozen=True)
@@ -326,13 +323,11 @@ def _random_start(op, y_norm, rank, rng):
 
 @dataclass(frozen=True)
 class _StartRun:
-    """A rank-F run, its restart and start stage, and its ladder fit's LM
-    iterations (0 if none)."""
+    """A rank-F run and its restart and start stage."""
 
     restart: int
     stage: int
     run: LmRun
-    ladder_iterations: int
 
 
 def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
@@ -355,9 +350,9 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     rank = config.rank
 
     runs: list[_StartRun] = []
+    iterations = 0
     for k, stage in product(range(config.restarts), range(1 + _N_LADDER_STAGES)):
         rng = np.random.default_rng(mix(mix(config.seed, k), stage))
-        ladder_iters = 0
         if stage == 0:
             factors = _random_start(op, y_norm, rank, rng)
         else:
@@ -370,19 +365,18 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
             ladder = _lm_single(_scale_to_norm(factors, y_norm), op, y,
                                 config.max_iters, floor)
             factors = _truncate(ladder.model.factors, rank)
-            ladder_iters = ladder.iterations
+            iterations += ladder.iterations
         run = _lm_single(factors, op, y, config.max_iters, floor)
-        runs.append(_StartRun(k, stage, run, ladder_iters))
+        iterations += run.iterations
+        runs.append(_StartRun(k, stage, run))
         if run.objective <= floor:
             break
 
     won = min(runs, key=lambda s: s.run.objective)
     return RecoveryReport(
         model=won.run.model, objective=won.run.objective,
-        objective_trace=won.run.trace, iterations=won.run.iterations + sum(
-            s.ladder_iterations for s in runs if s.restart == won.restart),
+        objective_trace=won.run.trace, iterations=iterations,
         restart_index=won.restart, stage_index=won.stage,
         status=won.run.status,
         mse=None if ground_truth is None
-        else mse(ground_truth, reconstruct(won.run.model)),
-        total_iterations=sum(s.run.iterations + s.ladder_iterations for s in runs))
+        else mse(ground_truth, reconstruct(won.run.model)))

@@ -2,7 +2,7 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines as the
 criteria finish.  Criterion 1 is a full Monte-Carlo sweep and dominates the
-runtime (a few minutes single-threaded).
+runtime (about half a minute single-threaded).
 """
 
 import math

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from cpsense import cli, experiment
+from cpsense import cli, experiment, recovery
 from cpsense.experiment import (
     ExperimentConfig,
     PAPER_FIG1_PRESET,
@@ -56,9 +56,13 @@ class TestParseConfig:
         assert PAPER_FIG1_PRESET["trials"] == 100
 
     def test_preset_can_be_overridden(self):
-        config = parse_config("preset = paper-fig1\ndims = 4,4,4\n"
-                              "kappa_grid = 1\nrank = 2\ntrials = 5\n")
-        assert config.trials == 5 and config.rank == 2
+        # a key overrides the preset whether it comes after it or before it
+        for text in ("preset = paper-fig1\ndims = 4,4,4\n"
+                     "kappa_grid = 1\nrank = 2\ntrials = 5\n",
+                     "trials = 5\nrank = 2\npreset = paper-fig1\n"
+                     "dims = 4,4,4\nkappa_grid = 1\n"):
+            config = parse_config(text)
+            assert config.trials == 5 and config.rank == 2
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -196,6 +200,22 @@ class TestRunTrial:
         row = run_trial(config, 0, 0)
         assert row.success and row.mse < config.success_mse_threshold
 
+    def test_iterations_column_counts_every_lm_run(self, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(lm_single(*args, **kwargs))
+            return runs[-1]
+
+        lm_single = recovery._lm_single
+        monkeypatch.setattr(recovery, "_lm_single", counted)
+        # a trial whose random start fails, so a ladder stage runs
+        config = parse_config("dims = 4,4,4\nrank = 2\nkappa_grid = 100\n"
+                              "trials = 1\nrestarts = 2\nbase_seed = 4\n")
+        row = run_trial(config, 0, 0)
+        assert any(r.model.rank == 3 for r in runs)
+        assert row.iterations == sum(r.iterations for r in runs)
+
 
 class TestSummaries:
     def test_counts_conserved(self):
@@ -323,10 +343,10 @@ class TestCli:
         fields = dict(line.split("=", 1) for line in out.splitlines()
                       if "=" in line)
         assert fields["status"] == "floor" and "converged" not in fields
-        # every LM run's iterations, printed right after the winner's share
+        # one count of the LM iterations, every run's, before the status
         keys = list(fields)
-        assert keys[keys.index("iterations") + 1] == "total_iterations"
-        assert int(fields["total_iterations"]) >= int(fields["iterations"])
+        assert keys[keys.index("iterations") + 1] == "status"
+        assert "total_iterations" not in fields
         # the winner's start stage, printed right after its restart
         assert keys[keys.index("restart_index") + 1] == "stage_index"
         assert int(fields["stage_index"]) in range(4)
