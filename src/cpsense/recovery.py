@@ -298,12 +298,14 @@ def _dense_cp_als(x_tensor: np.ndarray, rank: int, rng):
     dims = x_tensor.shape
     n_modes = len(dims)
     factors = [rng.standard_normal((d, rank)) for d in dims]
+    # mode-n unfolding of the tensor, transposed to (J / I_n) x I_n
+    unfoldings = [np.moveaxis(x_tensor, n, 0).reshape(dims[n], -1).T
+                  for n in range(n_modes)]
     for _ in range(_ALS_INIT_SWEEPS):
         for n in range(n_modes):
             others = [factors[m] for m in range(n_modes) if m != n]
-            unfolded = np.moveaxis(x_tensor, n, 0).reshape(dims[n], -1)
             kr = khatri_rao_chain(others)
-            factors[n] = np.linalg.lstsq(kr, unfolded.T, rcond=None)[0].T
+            factors[n] = np.linalg.lstsq(kr, unfoldings[n], rcond=None)[0].T
     return factors
 
 

@@ -86,34 +86,57 @@ class CpModel:
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product; the b-row index varies fastest."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("khatri_rao expects 2-D matrices")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
-        )
-    ia, f = a.shape
-    ib, _ = b.shape
-    return (a[:, None, :] * b[None, :, :]).reshape(ia * ib, f)
+    return khatri_rao_chain([a, b])
+
+
+def _component_rows(factors) -> np.ndarray:
+    """The Khatri-Rao chain of `factors` laid out as an F x J array: row f is
+    the left-associated Kronecker product of the factors' f-th columns.
+
+    Each product then runs along a contiguous row, not along a J-long column
+    of stride F, and every entry is the same left-to-right product, with the
+    same bits, that `khatri_rao` folded left gives.
+    """
+    rows = None
+    for a in factors:
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2:
+            raise DimensionMismatch("khatri_rao expects 2-D matrices")
+        if rows is None:
+            rows = a.T.copy()
+            continue
+        rank = len(rows)
+        if a.shape[1] != rank:
+            raise DimensionMismatch(f"column counts differ: {rank} vs {a.shape[1]}")
+        rows = (rows[:, :, None] * a.T.copy()[:, None, :]).reshape(rank, -1)
+    if rows is None:
+        raise DimensionMismatch("khatri_rao_chain needs at least one matrix")
+    return rows
 
 
 def khatri_rao_chain(factors) -> np.ndarray:
-    """Left-associated Khatri-Rao product of a list of matrices."""
-    factors = [np.asarray(a, dtype=float) for a in factors]
-    if not factors:
-        raise DimensionMismatch("khatri_rao_chain needs at least one matrix")
-    out = factors[0]
-    for a in factors[1:]:
-        out = khatri_rao(out, a)
-    return out
+    """Left-associated Khatri-Rao product of a list of matrices, J x F.
+
+    Built one row per component, then copied back to a C-contiguous J x F
+    array: callers multiply it by other matrices (the Jacobian blocks of
+    `recovery`), and a transposed view would send those products down
+    another BLAS path and change their bits.
+    """
+    return _component_rows(factors).T.copy()
 
 
 def reconstruct(model: CpModel) -> np.ndarray:
-    """Dense tensor equal to the sum of the model's rank-one components."""
-    chain = khatri_rao_chain(model.factors)
-    return chain.sum(axis=1).reshape(model.shape)
+    """Dense tensor equal to the sum of the model's rank-one components.
+
+    The components are added in order 0, 1, ..., F-1.  Below 8 components
+    that gives the bits of `khatri_rao_chain(factors).sum(axis=1)`; from 8
+    on, numpy sums a contiguous axis pairwise and the last bits can differ.
+    """
+    rows = _component_rows(model.factors)
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total.reshape(model.shape)
 
 
 def vec(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ import numpy as np
 from .conditioning import check_kappa, generate_conditioned_model
 from .seeding import mix
 from .sensing import SensingOperator
-from .sensing import apply as sense_apply
 from .tensor_core import (
     check_count,
     check_positive,
@@ -19,6 +18,10 @@ from .tensor_core import (
     param_count,
     reconstruct,
 )
+
+
+# bytes of one block of stacked samples in `rip_probe`
+_PROBE_BLOCK_BYTES = 1 << 20
 
 
 def _check_tensor_set(dims, rank: int, tau: float) -> tuple[int, ...]:
@@ -99,16 +102,28 @@ def covering_log_cardinality(dims, rank: int, tau: float, epsilon: float) -> flo
 
 def rip_probe(op: SensingOperator, rank: int, kappa_tilde: float,
               samples: int, seed: int) -> RipProbeResult:
-    """Sample conditioned unit-Frobenius CP tensors and record ||A(X)||^2."""
+    """Sample conditioned unit-Frobenius CP tensors and record ||A(X)||^2.
+
+    Sample i is drawn from seed mix(seed, i).  The normalized samples are
+    stacked, one block of about 1 MiB at a time, and Phi is applied to a
+    whole block with one matrix product, so Phi is read once per block, not
+    once per sample.  A block holds max(1, 2^20 // (8 max(J, M))) samples,
+    so neither it nor its image under Phi grows much past 1 MiB.
+    """
     check_count("samples", samples)
+    j = math.prod(op.shape)
+    rows = max(1, _PROBE_BLOCK_BYTES // (8 * max(j, op.m)))
+    block = np.empty((min(rows, samples), j))
     ratios = np.empty(samples)
-    for i in range(samples):
-        model = generate_conditioned_model(op.shape, rank, kappa_tilde,
-                                           mix(seed, i))
-        x = reconstruct(model)
-        x /= frobenius_norm(x)
-        yv = sense_apply(op, x)
-        ratios[i] = float(np.dot(yv, yv))
+    for start in range(0, samples, len(block)):
+        xs = block[:samples - start]
+        for k, x in enumerate(xs):
+            model = generate_conditioned_model(op.shape, rank, kappa_tilde,
+                                               mix(seed, start + k))
+            x[:] = reconstruct(model).ravel()
+            x /= frobenius_norm(x)
+        ys = xs @ op.matrix.T
+        ratios[start:start + len(xs)] = np.einsum("ij,ij->i", ys, ys)
     return RipProbeResult(samples=samples, mean_ratio=float(ratios.mean()),
                           min_ratio=float(ratios.min()),
                           max_ratio=float(ratios.max()))

@@ -160,6 +160,21 @@ class TestModeUnfoldings:
         assert u2[4 * 4 + 3, 1 * 3 + 2] == phi[4, 1, 2, 3]
 
 
+class TestDenseCpAls:
+    def test_bits_of_unfolding_every_sweep(self):
+        x = reconstruct(_random_model((4, 3, 5), 2, 50))
+        got = recovery._dense_cp_als(x, 3, np.random.default_rng(51))
+        rng = np.random.default_rng(51)
+        factors = [rng.standard_normal((d, 3)) for d in x.shape]
+        for _ in range(recovery._ALS_INIT_SWEEPS):
+            for n in range(3):
+                kr = recovery.khatri_rao_chain(factors[:n] + factors[n + 1:])
+                unfolded = np.moveaxis(x, n, 0).reshape(x.shape[n], -1)
+                factors[n] = np.linalg.lstsq(kr, unfolded.T, rcond=None)[0].T
+        for a, b in zip(got, factors):
+            assert np.array_equal(a, b)
+
+
 class TestPacking:
     def test_round_trip(self):
         model = _random_model((4, 3, 2), 3, 13)

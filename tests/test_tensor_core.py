@@ -113,7 +113,39 @@ class TestKhatriRao:
             khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
 
 
+def broadcast_chain(factors):
+    """The chain as a left fold of J x F broadcasts, the bits to match."""
+    out = factors[0]
+    for a in factors[1:]:
+        out = (out[:, None, :] * a[None, :, :]).reshape(-1, out.shape[1])
+    return out
+
+
 class TestKhatriRaoChain:
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_bits_of_the_broadcast_fold(self, order, rank):
+        rng = np.random.default_rng(10 * order + rank)
+        factors = [rng.standard_normal((d, rank)) for d in (3, 5, 2, 4)[:order]]
+        chain = khatri_rao_chain(factors)
+        assert np.array_equal(chain, broadcast_chain(factors))
+        # callers multiply the chain by Phi's unfoldings (the Jacobian
+        # blocks); a transposed layout takes another BLAS path and changes
+        # the bits of those products
+        assert chain.flags.c_contiguous
+        model = CpModel(tuple(factors))
+        assert np.array_equal(reconstruct(model),
+                              broadcast_chain(factors).sum(axis=1).reshape(model.shape))
+
+    @pytest.mark.parametrize("factors, message", [
+        ([np.ones((2, 2)), np.ones(2)], "2-D"),
+        ([np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 3))],
+         "column counts differ: 2 vs 3"),
+    ], ids=["1-D matrix", "column mismatch"])
+    def test_bad_matrices_rejected(self, factors, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            khatri_rao_chain(factors)
+
     def test_single_matrix_is_identity_fold(self):
         a = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(khatri_rao_chain([a]), a)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cpsense.conditioning import generate_conditioned_model
+from cpsense.seeding import mix
 from cpsense.sensing import create_operator
-from cpsense.tensor_core import param_count
+from cpsense.tensor_core import frobenius_norm, param_count, reconstruct
 from cpsense.theory_bounds import (
+    _PROBE_BLOCK_BYTES,
     BoundInputs,
     covering_log_cardinality,
     prop2_measurement_bound,
@@ -142,6 +145,27 @@ class TestRipProbe:
             small.append(rip_probe(op_s, 2, 1.0, samples=25, seed=rep).delta_hat)
             large.append(rip_probe(op_l, 2, 1.0, samples=25, seed=rep).delta_hat)
         assert float(np.median(large)) < float(np.median(small))
+
+    @pytest.mark.parametrize("dims, m, samples, block_rows", [
+        ((20, 20, 20), 20, 40, 16),  # blocks of 16, 16 and 8 samples
+        ((6, 6, 6), 30, 25, 606),  # one block
+        ((4, 4), 20000, 15, 6),  # M > J sizes the blocks: 6, 6 and 3
+    ], ids=["several blocks", "one block", "blocks sized by M"])
+    def test_matches_per_sample_oracle(self, dims, m, samples, block_rows):
+        assert _PROBE_BLOCK_BYTES // (8 * max(math.prod(dims), m)) == block_rows
+        op = create_operator(m, dims, seed=7)
+        res = rip_probe(op, 3, 10.0, samples=samples, seed=8)
+        ratios = []
+        for i in range(samples):
+            x = reconstruct(generate_conditioned_model(dims, 3, 10.0, mix(8, i)))
+            yv = op.matrix @ (x / frobenius_norm(x)).ravel()
+            ratios.append(float(yv @ yv))
+        assert res.samples == samples
+        assert res.min_ratio == pytest.approx(min(ratios), rel=1e-12)
+        assert res.mean_ratio == pytest.approx(float(np.mean(ratios)), rel=1e-12)
+        assert res.max_ratio == pytest.approx(max(ratios), rel=1e-12)
+        # the probe reads Phi itself and leaves the unfoldings unbuilt
+        assert "mode_unfoldings" not in vars(op)
 
     def test_invalid_samples(self):
         op = create_operator(10, (3, 3), seed=3)
