@@ -18,7 +18,16 @@ import numpy as np
 
 from .conditioning import check_kappa, check_rank_fits, generate_conditioned_model, kappa
 from .io_text import format_float, parse_list
-from .recovery import RecoveryConfig, _pack, _unpack, recover, residual_jacobian
+from .recovery import (
+    RecoveryConfig,
+    _eliminate_last,
+    _pack,
+    _projected_normal_equations,
+    _unpack,
+    check_measurement_count,
+    recover,
+    residual_jacobian,
+)
 from .seeding import mix
 from .sensing import GAUSSIAN, adjoint_apply, check_distribution, check_operator_size
 from .sensing import apply as sense_apply, create_operator
@@ -98,6 +107,7 @@ class ExperimentConfig:
             object.__setattr__(self, "m", tuple(int(v) for v in self.m))
         for i in range(len(self.kappa_grid)):
             check_operator_size(self.m_for(i), self.dims)
+            check_measurement_count(self.m_for(i), self.dims, self.rank)
 
     def solver(self, seed: int) -> RecoveryConfig:
         """The solver settings of every trial, with that trial's seed."""
@@ -315,6 +325,32 @@ def selftest() -> dict[str, bool]:
         if not np.allclose(jac[:, j], fd, rtol=1e-5, atol=1e-8):
             ok = False
     results["jacobian_fd"] = ok
+
+    # the LM run's gradient g over the first N - 1 factors, with the last one
+    # eliminated, vs central differences of f(theta) = min_a ||y + B_N a||^2
+    # (f has gradient 2 g), on the same instance
+    factors = [a.copy() for a in model.factors]
+    _, g = _projected_normal_equations(op, factors,
+                                       *_eliminate_last(op, factors, yv))
+    theta0 = _pack(factors[:-1])
+    last = factors[-1].size
+
+    def projected_objective(theta):
+        x = np.concatenate([theta, np.zeros(last)])
+        _, jac = residual_jacobian(_unpack(x, op.shape, 2), op, yv)
+        block = jac[:, theta.size:]
+        r = yv + block @ np.linalg.lstsq(block, -yv, rcond=None)[0]
+        return float(r @ r)
+
+    ok = True
+    for j in range(theta0.size):
+        tp, tm = theta0.copy(), theta0.copy()
+        tp[j] += step
+        tm[j] -= step
+        fd = (projected_objective(tp) - projected_objective(tm)) / (2 * step)
+        if not np.isclose(2.0 * g[j], fd, rtol=1e-5, atol=1e-7):
+            ok = False
+    results["vp_gradient_fd"] = ok
 
     # Khatri-Rao spectral bound: inserting U among unit-norm factors
     ok = True

@@ -28,10 +28,18 @@ once the last 20 accepted steps together lowered the objective by less than
 progress).  The test is relative, so it keeps the search invariant to
 scaling y.
 
-An LM run works on the packed vector and its factor views and never applies
-Phi: it scores a damping try with the last Jacobian block B_N at the trial
-point, as ||y + B_N vec(A_N)||^2, and an accepted try's B_N is reused in the
-next Jacobian, so a step computes the other N - 1 blocks only.
+Every LM run is a variable projection run (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 1973).  The model is linear in each factor: Phi vec(X) =
+-B_N vec(A_N), with B_N the last Jacobian block, which depends on the other
+N - 1 factors only.  So at every point it evaluates, the run eliminates the
+last factor: it solves A_N = -G^-1 B_N^T y, G = B_N^T B_N, by least squares
+and scores the point as ||y + B_N vec(A_N)||^2.  Its unknowns are the first
+N - 1 factors, and each step solves the damped normal equations of Kaufman's
+projected Jacobian (BIT 15, 1975), J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}]:
+48 unknowns at the paper's 8 x 8 x 8, F = 3, against 72 for all factors.
+A run never applies Phi and builds one `CpModel`, when it ends.  The last
+factor has I_N F entries, so `recover` rejects M < I_N F, where G is
+singular.
 """
 
 from __future__ import annotations
@@ -72,9 +80,9 @@ _N_LADDER_STAGES = 3
 _ALS_INIT_SWEEPS = 30
 # a run converges once the last _PLATEAU_STEPS accepted steps together
 # lowered the objective by less than _PLATEAU_REL_TOL of it.  Margin, on the
-# Fig. 1 criterion-1 sweep at base seeds 1 and 3: in the 116 rank-F runs that
+# Fig. 1 criterion-1 sweep at base seeds 1 and 3: in the 95 rank-F runs that
 # reached the floor after more than 20 steps, the flattest 20-step window
-# lowered the objective by 8.6e-6 of it, 86 times the tolerance
+# lowered the objective by 9.4e-4 of it, 9,400 times the tolerance
 _PLATEAU_STEPS = 20
 _PLATEAU_REL_TOL = 1e-7
 # initial LM damping mu
@@ -147,24 +155,62 @@ def _jacobian_block(op: SensingOperator, factors, n: int) -> np.ndarray:
     return (op.mode_unfoldings[n] @ -others).reshape(op.m, -1)
 
 
-def _trial_residual(op: SensingOperator, factors, y: np.ndarray):
-    """The last Jacobian block B_N at the given factors and the residual
-    r = y + B_N vec(A_N): the model is linear in each factor, so
-    Phi vec(X) = -B_N vec(A_N)."""
-    block = _jacobian_block(op, factors, len(factors) - 1)
-    return block, y + block @ factors[-1].ravel()
-
-
 def residual_jacobian(model: CpModel, op: SensingOperator, y: np.ndarray):
     """Residual r = y - Phi vec(X) and its Jacobian w.r.t. the factor entries,
-    one `_jacobian_block` per mode."""
+    one `_jacobian_block` per mode.  The model is linear in each factor, so
+    Phi vec(X) = -B_N vec(A_N), with B_N the last block."""
     if model.shape != op.shape:
         raise DimensionMismatch(f"model shape {model.shape} != operator shape {op.shape}")
     y = check_measurements(op, y)
     factors = model.factors
-    block, r = _trial_residual(op, factors, y)
-    blocks = [_jacobian_block(op, factors, n) for n in range(len(factors) - 1)]
-    return r, np.hstack(blocks + [block])
+    blocks = [_jacobian_block(op, factors, n) for n in range(len(factors))]
+    return y + blocks[-1] @ factors[-1].ravel(), np.hstack(blocks)
+
+
+def check_measurement_count(m: int, shape, rank: int) -> None:
+    """Reject M below I_N * F, the entry count of the last factor.  The
+    solver finds that factor by least squares at every point, and with fewer
+    measurements its normal matrix is singular.  Such an M is also below the
+    degrees of freedom F (sum(I_n) - N + 1) of a rank-F model."""
+    need = int(shape[-1]) * int(rank)
+    if int(m) < need:
+        raise ValueError(f"M = {m} measurements is below I_N * F = {need}, "
+                         f"the entry count of the last factor")
+
+
+def _eliminate_last(op: SensingOperator, factors, y: np.ndarray):
+    """Solve for the last factor by least squares at the other N - 1.
+
+    Returns the last Jacobian block B_N, which depends on the other factors
+    only, and the residual r = y + B_N vec(a) at a = -G^-1 B_N^T y, with
+    G = B_N^T B_N; a is written into ``factors[-1]``.  Returns None, with
+    ``factors`` untouched, when the solve raises or a is not finite.
+    """
+    block = _jacobian_block(op, factors, len(factors) - 1)
+    try:
+        a = np.linalg.solve(block.T @ block, -(block.T @ y))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(a).all():
+        return None
+    factors[-1][...] = a.reshape(factors[-1].shape)
+    return block, y + block @ a
+
+
+def _projected_normal_equations(op: SensingOperator, factors,
+                                block: np.ndarray, r: np.ndarray):
+    """J^T J and g = J^T r for Kaufman's projected Jacobian
+    J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}], at factors whose last one
+    `_eliminate_last` solved for, with its B_N and r.  There r is orthogonal
+    to the columns of B_N, so g = [B_1 ... B_{N-1}]^T r: half the gradient of
+    min_a ||y + B_N a||^2 over the first N - 1 factors."""
+    jac = np.hstack([_jacobian_block(op, factors, n)
+                     for n in range(len(factors) - 1)])
+    g = jac.T @ r
+    # B_N^T J as the transpose of a C-ordered product: the solve then takes
+    # its right sides in Fortran order, without a transposed copy
+    jac -= block @ np.linalg.solve(block.T @ block, (jac.T @ block).T)
+    return jac.T @ jac, g
 
 
 def _pack(factors) -> np.ndarray:
@@ -187,60 +233,70 @@ def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
 
 def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
                max_iters: int, floor: float) -> LmRun:
-    """One damped Gauss-Newton run from the given factors, at their rank.
+    """One damped Gauss-Newton run from the given factors, at their rank, by
+    variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+
+    The unknowns theta are the first N - 1 factors.  At every evaluated
+    point the last factor is eliminated: `_eliminate_last` solves for it by
+    least squares, so the objective is f(theta) = min_a ||y + B_N(theta) a||^2.
+    A step solves the damped normal equations of Kaufman's projected
+    Jacobian (BIT 15, 1975), `_projected_normal_equations`, which has
+    (sum(I_n) - I_N) F unknowns.
 
     The run ends as `floor` at the start or after the first accepted step
-    whose objective is at most ``floor``.  After any other accepted step it
-    ends as `converged` if the last 20 accepted steps together lowered the
-    objective by less than 1e-7 of it: f > (1 - 1e-7) * f_{-20}, with f_{-20}
-    the objective 20 accepted steps back.  The test is a product, not a
-    ratio, so it is safe at f = 0 and free of the scale of y.
+    whose objective is at most ``floor``; at the start the given factors are
+    checked first, then the point with their last factor eliminated.  If
+    that elimination fails, the run ends as `stalled` at the given factors.
+    After any other accepted step it ends as `converged` if the last 20
+    accepted steps together lowered the objective by less than 1e-7 of it:
+    f > (1 - 1e-7) * f_{-20}, with f_{-20} the objective 20 accepted steps
+    back.  The test is a product, not a ratio, so it is safe at f = 0 and
+    free of the scale of y.
 
     The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
     Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
     sec. 3.2): an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3),
     where rho is the measured decrease over the decrease the linear model
-    predicts, and resets nu to 2; a rejected try scales mu by nu and
-    doubles nu.  A step so small that x - delta rounds back to x ends the
-    run as stalled.
+    predicts, and resets nu to 2; a rejected try, or one whose elimination
+    fails, scales mu by nu and doubles nu.  A step so small that
+    theta - delta rounds back to theta ends the run as stalled.
 
-    The run works on the packed vector x and its factor views; ``y`` is
-    taken as checked.  Each try is scored with `_trial_residual`, whose
-    last Jacobian block becomes part of the next Jacobian when the try is
-    accepted, so a step computes the other N - 1 blocks only.  The one
-    `CpModel` is built when the run ends.
+    The run works on the packed vector x = (theta, a) and its factor views;
+    ``y`` is taken as checked.  The one `CpModel` is built when the run ends.
     """
     dims = op.shape
     rank = factors0[0].shape[1]
     x = _pack(factors0)
-    block, r = _trial_residual(op, _factor_views(x, dims, rank), y)
+    factors = _factor_views(x, dims, rank)
+    r = y + _jacobian_block(op, factors, len(dims) - 1) @ factors[-1].ravel()
+    f_val = float(r @ r)
+    if f_val <= floor:
+        return LmRun(_unpack(x, dims, rank), f_val, [f_val], 0, STATUS_FLOOR)
+    evaluated = _eliminate_last(op, factors, y)
+    if evaluated is None:
+        return LmRun(_unpack(x, dims, rank), f_val, [f_val], 0, STATUS_STALLED)
+    block, r = evaluated
     f_val = float(r @ r)
     trace = [f_val]
     if f_val <= floor:
         return LmRun(_unpack(x, dims, rank), f_val, trace, 0, STATUS_FLOOR)
 
-    size = x.size
-    cols = np.cumsum([0] + [d * rank for d in dims])
-    jac = np.empty((op.m, size))
-    # J^T J, with mu * shift set on its diagonal for each try
-    damped = np.empty((size, size))
-    damped_diag = damped.reshape(-1)[::size + 1]
+    size = x.size - factors[-1].size
     mu = _DAMPING_INIT
     nu = 2.0
     status = STATUS_MAX_ITERS
     it = 0
     for it in range(1, max_iters + 1):
-        factors = _factor_views(x, dims, rank)
-        for n in range(len(dims) - 1):
-            jac[:, cols[n]:cols[n + 1]] = _jacobian_block(op, factors, n)
-        jac[:, cols[-2]:] = block
-        np.matmul(jac.T, jac, out=damped)
-        g = jac.T @ r
+        # J^T J, with mu * shift set on its diagonal for each try
+        damped, g = _projected_normal_equations(
+            op, _factor_views(x, dims, rank), block, r)
+        damped_diag = damped.reshape(-1)[::size + 1]
         diag = damped_diag.copy()
         dmax = max(float(diag.max()), _TINY)
         shift = np.maximum(diag, _DIAG_FLOOR * dmax)
-        # below this length, x - delta rounds back to (about) x
-        min_step = _EPS * math.sqrt(x @ x)
+        theta = x[:size]
+        # below this length, theta - delta rounds back to (about) theta
+        min_step = _EPS * math.sqrt(theta @ theta)
         accepted = False
         for _ in range(_MAX_DAMPING_RETRIES):
             damped_diag[:] = diag + mu * shift
@@ -251,12 +307,16 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
             if delta is not None and np.isfinite(delta).all():
                 if math.sqrt(delta @ delta) <= min_step:
                     break
-                x_new = x - delta
-                block_new, r_new = _trial_residual(
+                x_new = x.copy()
+                x_new[:size] -= delta
+                evaluated = _eliminate_last(
                     op, _factor_views(x_new, dims, rank), y)
-                f_new = float(r_new @ r_new)
+                # a try whose elimination fails is rejected
+                f_new = (math.inf if evaluated is None
+                         else float(evaluated[1] @ evaluated[1]))
                 if f_new < f_val:
                     accepted = True
+                    block_new, r_new = evaluated
                     gain = f_val - f_new
                     # decrease of ||r - J delta||^2 from ||r||^2
                     predicted = float(delta @ g + mu * (shift * delta) @ delta)
@@ -344,6 +404,7 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     y = check_measurements(op, y)
     if not np.all(np.isfinite(y)):
         raise ValueError("measurements must be finite")
+    check_measurement_count(op.m, op.shape, config.rank)
     if ground_truth is not None:
         ground_truth = check_tensor(op, ground_truth)
     y_norm = float(np.linalg.norm(y))

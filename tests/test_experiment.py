@@ -134,6 +134,9 @@ class TestConfigValidation:
         # the second grid point's operator, 10000 x 27000, is over the limit
         ({"dims": (30, 30, 30), "m": (100, 10000), "trials": 2},
          "operator would hold 270000000 entries"),
+        # the second grid point's M is below I_N * F = 4 * 3, the unknowns
+        # of the last factor's least-squares problem
+        ({"m": (40, 11)}, r"M = 11 measurements is below I_N \* F = 12"),
     ])
     def test_bad_config_rejected(self, changes, message):
         fields = {"dims": (4, 4, 4), "rank": 3, "kappa_grid": (1.0, 10.0)}
@@ -211,7 +214,7 @@ class TestRunTrial:
         monkeypatch.setattr(recovery, "_lm_single", counted)
         # a trial whose random start fails, so a ladder stage runs
         config = parse_config("dims = 4,4,4\nrank = 2\nkappa_grid = 100\n"
-                              "trials = 1\nrestarts = 2\nbase_seed = 4\n")
+                              "trials = 1\nrestarts = 2\nbase_seed = 18\n")
         row = run_trial(config, 0, 0)
         assert any(r.model.rank == 3 for r in runs)
         assert row.iterations == sum(r.iterations for r in runs)
@@ -305,6 +308,9 @@ class TestSelftest:
         "adjoint": ("adjoint_apply", lambda f: lambda op, y: -f(op, y)),
         "jacobian_fd": ("residual_jacobian",
                         lambda f: lambda *args: (f(*args)[0], 2.0 * f(*args)[1])),
+        "vp_gradient_fd": ("_projected_normal_equations",
+                           lambda f: lambda *args: (f(*args)[0],
+                                                    2.0 * f(*args)[1])),
         "spectral_bound": ("spectral_norm", lambda f: lambda a: 0.5 * f(a)),
         "kappa_oracle": ("kappa", lambda f: lambda model: dataclasses.replace(
             f(model), kappa=2.0 * f(model).kappa)),

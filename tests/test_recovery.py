@@ -205,25 +205,26 @@ class TestLmSingle:
         start = [rng.standard_normal((3, 2)) for _ in range(3)]
         damped_finite, evaluated = [], []
         solve = np.linalg.solve
-        trial_residual = recovery._trial_residual
+        eliminate_last = recovery._eliminate_last
 
         def recorded_solve(a, b):
             damped_finite.append(bool(np.all(np.isfinite(a))))
             return solve(a, b)
 
-        def recorded_trial_residual(*args):
-            block, r = trial_residual(*args)
+        def recorded_eliminate_last(*args):
+            block, r = eliminate_last(*args)
             evaluated.append(float(r @ r))
             return block, r
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-        monkeypatch.setattr(recovery, "_trial_residual", recorded_trial_residual)
+        monkeypatch.setattr(recovery, "_eliminate_last", recorded_eliminate_last)
         run = recovery._lm_single(start, op, y, max_iters=2000, floor=0.0)
         assert run.status == STATUS_STALLED
         assert run.objective < 1e-20
         # mu * shift sits on the diagonal of every damped system
         assert damped_finite and all(damped_finite)
-        # the first evaluation is the start; every later one is a try
+        # the first evaluation is the start, with its last factor
+        # eliminated; every later one is a try
         assert evaluated[0] == run.trace[0]
         tries = evaluated[1:]
         # exactly the tries below the current objective were accepted
@@ -240,57 +241,135 @@ class TestLmSingle:
     @pytest.mark.parametrize("dims", [(3, 4, 2), (4, 3), (2, 3, 2, 2)])
     def test_every_try_and_step_matches_residual_jacobian(self, monkeypatch,
                                                           dims):
-        # the loop reuses an accepted try's last block in the next Jacobian;
-        # its J and r must be residual_jacobian's at the same point, bit for
-        # bit, which the damped system J^T J + D and right side J^T r show
+        # variable projection: at every try the last factor a solves the
+        # least-squares problem at the other factors theta, and every damped
+        # system and right side are those of Kaufman's projected Jacobian,
+        # built here from residual_jacobian's blocks at (theta, a)
         rank = 2
         op = create_operator(2 * sum(dims) * rank, dims, seed=50)
         y = apply(op, reconstruct(_random_model(dims, rank, 51)))
         start = list(_random_model(dims, rank, 52).factors)
+        size = (sum(dims) - dims[-1]) * rank
         events = []
         solve = np.linalg.solve
-        trial_residual = recovery._trial_residual
+        eliminate_last = recovery._eliminate_last
 
         def recorded_solve(a, b):
-            events.append(("solve", a.copy(), b.copy()))
+            # the damped system; the other solves are with G = B_N^T B_N
+            if a.shape == (size, size) and b.ndim == 1:
+                events.append(("solve", a.copy(), b.copy()))
             return solve(a, b)
 
-        def recorded_trial_residual(op_, factors, y_):
-            block, r = trial_residual(op_, factors, y_)
-            events.append(("try", [a.copy() for a in factors], block.copy(),
-                           r.copy()))
-            return block, r
+        def recorded_eliminate_last(op_, factors, y_):
+            evaluated = eliminate_last(op_, factors, y_)
+            assert evaluated is not None
+            events.append(("try", CpModel(tuple(a.copy() for a in factors)),
+                           evaluated[1].copy()))
+            return evaluated
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-        monkeypatch.setattr(recovery, "_trial_residual", recorded_trial_residual)
+        monkeypatch.setattr(recovery, "_eliminate_last", recorded_eliminate_last)
         run = recovery._lm_single(start, op, y, max_iters=30, floor=0.0)
         monkeypatch.undo()
         assert run.iterations >= 2
 
         # the first evaluation is the start; a try is accepted when it
         # lowers the objective
+        y_norm = np.linalg.norm(y)
         current, f_current, solves = None, np.inf, 0
         for event in events:
             if event[0] == "try":
-                _, factors, block, r = event
-                r_ref, j_ref = residual_jacobian(CpModel(tuple(factors)), op, y)
-                np.testing.assert_array_equal(r, r_ref)
-                np.testing.assert_array_equal(block, j_ref[:, -block.shape[1]:])
+                _, model, r = event
+                direct = y - op.matrix @ reconstruct(model).ravel()
+                assert np.linalg.norm(r - direct) <= 1e-12 * y_norm
+                # a is optimal: r is orthogonal to the columns of B_N
+                _, j_ref = residual_jacobian(model, op, y)
+                b_last = j_ref[:, size:]
+                assert np.linalg.norm(b_last.T @ r) <= (
+                    1e-10 * np.linalg.norm(b_last, 2) * y_norm)
                 if float(r @ r) < f_current:
-                    current = factors, r_ref, j_ref
+                    current = model, r, j_ref
                     f_current = float(r @ r)
             else:
                 _, damped, g = event
-                _, r_ref, j_ref = current
-                np.testing.assert_array_equal(g, j_ref.T @ r_ref)
-                off_diag = ~np.eye(g.size, dtype=bool)
-                np.testing.assert_array_equal(damped[off_diag],
-                                              (j_ref.T @ j_ref)[off_diag])
+                _, r, j_ref = current
+                j_theta, b_last = j_ref[:, :size], j_ref[:, size:]
+                q, _ = np.linalg.qr(b_last)
+                jac = j_theta - q @ (q.T @ j_theta)
+                scale = np.linalg.norm(j_theta, 2)
+                # g is the gradient over theta at the eliminated a
+                assert np.max(np.abs(g - (j_ref.T @ r)[:size])) <= (
+                    1e-12 * scale * np.linalg.norm(r))
+                off_diag = ~np.eye(size, dtype=bool)
+                assert np.max(np.abs(damped[off_diag]
+                                     - (jac.T @ jac)[off_diag])) <= (
+                    1e-10 * scale ** 2)
                 solves += 1
         assert solves >= run.iterations
         assert run.objective == f_current
         np.testing.assert_array_equal(_pack(run.model.factors),
-                                      _pack(current[0]))
+                                      _pack(current[0].factors))
+
+    def test_failed_elimination_leaves_the_factors(self, monkeypatch):
+        op = create_operator(24, (3, 3, 3), seed=60)
+        y = np.random.default_rng(61).standard_normal(24)
+        factors = list(_random_model((3, 3, 3), 2, 62).factors)
+        block, r = recovery._eliminate_last(op, factors, y)
+        assert np.linalg.norm(block.T @ r) <= 1e-12 * np.linalg.norm(y)
+        # a zero column makes G singular, so the solve raises
+        factors[0][:, 1] = 0.0
+        before = _pack(factors)
+        assert recovery._eliminate_last(op, factors, y) is None
+        np.testing.assert_array_equal(_pack(factors), before)
+        # a solve that returns a non-finite last factor
+        factors[0][:, 1] = 1.0
+        before = _pack(factors)
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full(b.shape, np.nan))
+        assert recovery._eliminate_last(op, factors, y) is None
+        np.testing.assert_array_equal(_pack(factors), before)
+
+    def test_singular_start_ends_stalled_at_the_given_factors(self):
+        # G is singular at the start, so the last factor cannot be eliminated
+        op = create_operator(24, (3, 3, 3), seed=60)
+        y = apply(op, reconstruct(_random_model((3, 3, 3), 2, 63)))
+        start = list(_random_model((3, 3, 3), 2, 64).factors)
+        start[1][:, 0] = 0.0
+        run = recovery._lm_single(start, op, y, max_iters=50, floor=0.0)
+        assert (run.status, run.iterations) == (STATUS_STALLED, 0)
+        assert run.trace == [objective(CpModel(tuple(start)), op, y)]
+        np.testing.assert_array_equal(_pack(run.model.factors), _pack(start))
+
+    def test_failed_try_elimination_raises_the_damping(self, monkeypatch):
+        op = create_operator(24, (3, 3, 3), seed=60)
+        y = apply(op, reconstruct(_random_model((3, 3, 3), 2, 63)))
+        start = list(_random_model((3, 3, 3), 2, 64).factors)
+        size = 2 * 3 * 2
+        damped = []
+        solve = np.linalg.solve
+        eliminate_last = recovery._eliminate_last
+        evaluations = []
+
+        def recorded_solve(a, b):
+            if a.shape == (size, size) and b.ndim == 1:
+                damped.append(a.copy())
+            return solve(a, b)
+
+        def first_try_fails(*args):
+            evaluations.append(args)
+            # call 1 is the start, call 2 the first try
+            return None if len(evaluations) == 2 else eliminate_last(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        monkeypatch.setattr(recovery, "_eliminate_last", first_try_fails)
+        run = recovery._lm_single(start, op, y, max_iters=5, floor=0.0)
+        assert (run.status, run.iterations) == (STATUS_MAX_ITERS, 5)
+        assert all(b < a for a, b in zip(run.trace, run.trace[1:]))
+        # the failed try is retried at the same point with a larger mu:
+        # the same J^T J, a larger diagonal
+        off_diag = ~np.eye(size, dtype=bool)
+        np.testing.assert_array_equal(damped[1][off_diag], damped[0][off_diag])
+        assert np.all(np.diag(damped[1]) > np.diag(damped[0]))
 
     @pytest.mark.parametrize("max_iters, floor, status", [
         (2000, np.inf, STATUS_FLOOR), (1, 0.0, STATUS_MAX_ITERS),
@@ -315,10 +394,10 @@ class TestLmSingle:
         assert len(builds) == 1 and builds[0] is run.model
 
     def test_flat_run_ends_converged_on_the_plateau_test(self):
-        # the Fig. 1 kappa_tilde = 1, trial 1 random start of restart 0: it
-        # holds the objective near 0.1074 ||y||^2 for hundreds of steps, and
-        # without the plateau test it ends at max_iters 500
-        op, y, seed = _fig1_instance(0, 1)
+        # the Fig. 1 kappa_tilde = 1, trial 11 random start of restart 0: it
+        # holds the objective near 0.1048 ||y||^2, and without the plateau
+        # test it runs on to step 244, where its steps become negligible
+        op, y, seed = _fig1_instance(0, 11)
         runs = []
         for c in (1.0, 1e3):
             y_c = c * y
@@ -329,7 +408,7 @@ class TestLmSingle:
                                       floor=1e-11 * float(y_c @ y_c))
             assert run.status == STATUS_CONVERGED
             assert run.iterations < 500
-            assert run.objective == pytest.approx(0.1074 * float(y_c @ y_c),
+            assert run.objective == pytest.approx(0.1048 * float(y_c @ y_c),
                                                   rel=1e-3)
             # the last 21 values meet the rule and no earlier window does
             assert _plateau_ends(run.trace) == [run.iterations]
@@ -346,12 +425,12 @@ class TestLmSingle:
 
     def test_plateau_test_leaves_a_run_that_reaches_the_floor(self):
         # the Fig. 1 kappa_tilde = 1000, trial 0 winner, restart 0, stage 1:
-        # 125 steps to the floor, as without the plateau test
+        # 90 steps to the floor, as without the plateau test
         op, y, seed = _fig1_instance(3, 0)
         report = recover(op, y, RecoveryConfig(rank=3, seed=seed))
         assert (report.restart_index, report.stage_index) == (0, 1)
         assert report.status == STATUS_FLOOR
-        assert len(report.objective_trace) == 126
+        assert len(report.objective_trace) == 91
         assert _plateau_ends(report.objective_trace) == []
 
     def test_run_ends_at_the_first_step_at_or_below_the_floor(self):
@@ -478,7 +557,7 @@ class TestRecover:
         # restart run, and the ladder stages fit at rank F + 1 = 3
         truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
         op = create_operator(36, (4, 4, 4), seed=109)
-        report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=200))
+        report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=206))
         assert report.restart_index >= 1
         assert any(r.model.rank == 3 for r in runs)
         assert report.iterations == sum(r.iterations for r in runs)
@@ -500,7 +579,7 @@ class TestRecover:
         # the instance of the test above: every ladder stage of restart 0 runs
         truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
         op = create_operator(36, (4, 4, 4), seed=109)
-        recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=200))
+        recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=206))
         assert len(fits) >= 2
         assert len(backprojections) == 1
         assert all(x is fits[0] for x in fits)
@@ -522,7 +601,7 @@ class TestRecover:
         # ladder stages are tried and a second restart runs
         truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
         op = create_operator(36, (4, 4, 4), seed=109)
-        report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=200))
+        report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=206))
         # every ladder stage was skipped: one rank-F run per restart
         assert len(runs) >= 2
         assert all(r.model.rank == 2 for r in runs)
@@ -558,8 +637,24 @@ class TestRecover:
         y = apply(op, truth)
         report = recover(op, y, RecoveryConfig(rank=2, restarts=2, seed=33))
         assert report.status == STATUS_STALLED
-        assert report.iterations >= 1
+        # every run's start fails to eliminate the last factor
+        assert report.iterations == 0
         assert report.objective_trace == [report.objective]
+
+    @pytest.mark.parametrize("shape, rank, m", [((3, 3, 8), 2, 12),
+                                                ((4, 5), 3, 14)])
+    def test_fewer_measurements_than_the_last_factor_rejected(
+            self, monkeypatch, shape, rank, m):
+        runs = []
+        monkeypatch.setattr(recovery, "_lm_single",
+                            lambda *args: runs.append(args))
+        op = create_operator(m, shape, seed=34)
+        y = np.random.default_rng(35).standard_normal(m)
+        need = shape[-1] * rank
+        with pytest.raises(ValueError, match=(
+                rf"^M = {m} measurements is below I_N \* F = {need},")):
+            recover(op, y, RecoveryConfig(rank=rank))
+        assert runs == []
 
     def test_report_is_frozen_and_status_names_the_end(self):
         truth = reconstruct(generate_conditioned_model((3, 3, 3), 1, 1.0, 34))
