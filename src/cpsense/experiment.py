@@ -276,6 +276,7 @@ def emit_plot_script(summary_csv_path: str, out_path: str) -> None:
     import os
     if not os.path.exists(summary_csv_path):
         raise FileNotFoundError(summary_csv_path)
+    quoted = summary_csv_path.replace("'", "''")  # gnuplot's quote escape
     script = f"""\
 set datafile separator ','
 set key autotitle columnhead
@@ -284,7 +285,7 @@ set xlabel 'factor condition number'
 set ylabel 'successful recoveries'
 set terminal pngcairo size 800,600
 set output 'recovery_success.png'
-plot '{summary_csv_path}' using 1:4 with linespoints lw 2 pt 7 \
+plot '{quoted}' using 1:4 with linespoints lw 2 pt 7 \
 title 'success count'
 """
     with open(out_path, "w") as fh:

@@ -37,9 +37,9 @@ and scores the point as ||y + B_N vec(A_N)||^2.  Its unknowns are the first
 N - 1 factors, and each step solves the damped normal equations of Kaufman's
 projected Jacobian (BIT 15, 1975), J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}]:
 48 unknowns at the paper's 8 x 8 x 8, F = 3, against 72 for all factors.
-A run never applies Phi and builds one `CpModel`, when it ends.  The last
-factor has I_N F entries, so `recover` rejects M < I_N F, where G is
-singular.
+A run applies Phi only to score a start whose elimination fails, and
+builds one `CpModel`, when it ends.  The last factor has I_N F entries, so
+`recover` rejects M < I_N F, where G is singular.
 """
 
 from __future__ import annotations
@@ -182,26 +182,27 @@ def _eliminate_last(op: SensingOperator, factors, y: np.ndarray):
     """Solve for the last factor by least squares at the other N - 1.
 
     Returns the last Jacobian block B_N, which depends on the other factors
-    only, and the residual r = y + B_N vec(a) at a = -G^-1 B_N^T y, with
-    G = B_N^T B_N; a is written into ``factors[-1]``.  Returns None, with
-    ``factors`` untouched, when the solve raises or a is not finite.
+    only, G = B_N^T B_N and the residual r = y + B_N vec(a) at
+    a = -G^-1 B_N^T y; a is written into ``factors[-1]``.  Returns None,
+    with ``factors`` untouched, when the solve raises or a is not finite.
     """
     block = _jacobian_block(op, factors, len(factors) - 1)
+    gram = block.T @ block
     try:
-        a = np.linalg.solve(block.T @ block, -(block.T @ y))
+        a = np.linalg.solve(gram, -(block.T @ y))
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(a).all():
         return None
     factors[-1][...] = a.reshape(factors[-1].shape)
-    return block, y + block @ a
+    return block, gram, y + block @ a
 
 
-def _projected_normal_equations(op: SensingOperator, factors,
-                                block: np.ndarray, r: np.ndarray):
+def _projected_normal_equations(op: SensingOperator, factors, block: np.ndarray,
+                                gram: np.ndarray, r: np.ndarray):
     """J^T J and g = J^T r for Kaufman's projected Jacobian
     J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}], at factors whose last one
-    `_eliminate_last` solved for, with its B_N and r.  There r is orthogonal
+    `_eliminate_last` solved for, with its B_N, G and r.  There r is orthogonal
     to the columns of B_N, so g = [B_1 ... B_{N-1}]^T r: half the gradient of
     min_a ||y + B_N a||^2 over the first N - 1 factors."""
     jac = np.hstack([_jacobian_block(op, factors, n)
@@ -209,7 +210,7 @@ def _projected_normal_equations(op: SensingOperator, factors,
     g = jac.T @ r
     # B_N^T J as the transpose of a C-ordered product: the solve then takes
     # its right sides in Fortran order, without a transposed copy
-    jac -= block @ np.linalg.solve(block.T @ block, (jac.T @ block).T)
+    jac -= block @ np.linalg.solve(gram, (jac.T @ block).T)
     return jac.T @ jac, g
 
 
@@ -244,9 +245,9 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     (sum(I_n) - I_N) F unknowns.
 
     The run ends as `floor` at the start or after the first accepted step
-    whose objective is at most ``floor``; at the start the given factors are
-    checked first, then the point with their last factor eliminated.  If
-    that elimination fails, the run ends as `stalled` at the given factors.
+    whose objective is at most ``floor``.  If the start's elimination fails,
+    it ends at the given factors after 0 iterations, scored by `objective`
+    (its one use of Phi): `floor` if that is at most ``floor``, else `stalled`.
     After any other accepted step it ends as `converged` if the last 20
     accepted steps together lowered the objective by less than 1e-7 of it:
     f > (1 - 1e-7) * f_{-20}, with f_{-20} the objective 20 accepted steps
@@ -268,14 +269,13 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     rank = factors0[0].shape[1]
     x = _pack(factors0)
     factors = _factor_views(x, dims, rank)
-    r = y + _jacobian_block(op, factors, len(dims) - 1) @ factors[-1].ravel()
-    f_val = float(r @ r)
-    if f_val <= floor:
-        return LmRun(_unpack(x, dims, rank), f_val, [f_val], 0, STATUS_FLOOR)
     evaluated = _eliminate_last(op, factors, y)
     if evaluated is None:
-        return LmRun(_unpack(x, dims, rank), f_val, [f_val], 0, STATUS_STALLED)
-    block, r = evaluated
+        model = _unpack(x, dims, rank)
+        f_val = objective(model, op, y)
+        return LmRun(model, f_val, [f_val], 0,
+                     STATUS_FLOOR if f_val <= floor else STATUS_STALLED)
+    block, gram, r = evaluated
     f_val = float(r @ r)
     trace = [f_val]
     if f_val <= floor:
@@ -288,8 +288,7 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     it = 0
     for it in range(1, max_iters + 1):
         # J^T J, with mu * shift set on its diagonal for each try
-        damped, g = _projected_normal_equations(
-            op, _factor_views(x, dims, rank), block, r)
+        damped, g = _projected_normal_equations(op, factors, block, gram, r)
         damped_diag = damped.reshape(-1)[::size + 1]
         diag = damped_diag.copy()
         dmax = max(float(diag.max()), _TINY)
@@ -309,14 +308,13 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
                     break
                 x_new = x.copy()
                 x_new[:size] -= delta
-                evaluated = _eliminate_last(
-                    op, _factor_views(x_new, dims, rank), y)
+                factors_new = _factor_views(x_new, dims, rank)
+                evaluated = _eliminate_last(op, factors_new, y)
                 # a try whose elimination fails is rejected
                 f_new = (math.inf if evaluated is None
-                         else float(evaluated[1] @ evaluated[1]))
+                         else float(evaluated[2] @ evaluated[2]))
                 if f_new < f_val:
                     accepted = True
-                    block_new, r_new = evaluated
                     gain = f_val - f_new
                     # decrease of ||r - J delta||^2 from ||r||^2
                     predicted = float(delta @ g + mu * (shift * delta) @ delta)
@@ -331,7 +329,8 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
         if not accepted:
             status = STATUS_STALLED
             break
-        x, block, r, f_val = x_new, block_new, r_new, f_new
+        x, factors, f_val = x_new, factors_new, f_new
+        block, gram, r = evaluated
         trace.append(f_val)
         if f_val <= floor:
             status = STATUS_FLOOR

@@ -27,7 +27,7 @@ def check_shape(dims) -> tuple[int, ...]:
     dims = tuple(dims)
     if len(dims) < 2:
         raise DimensionMismatch(f"tensor order must be >= 2, got {len(dims)}")
-    if any(d < 1 for d in dims):
+    if any(d < 1 for d in dims if isinstance(d, numbers.Integral)):
         raise DimensionMismatch(f"all dimensions must be >= 1, got {dims}")
     for d in dims:
         check_count("dimension", d)

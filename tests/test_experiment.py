@@ -275,6 +275,14 @@ class TestPlotScript:
         assert "set logscale x" in text
         assert summary_path in text
         assert "pngcairo" in text
+        # a quote in the path is doubled, as gnuplot reads it back
+        quoted = tmp_path / "it's_summary.csv"
+        quoted.write_text("kappa_tilde,m,trials,success_count\n")
+        experiment.emit_plot_script(str(quoted), str(script))
+        plot_line, = [line for line in script.read_text().splitlines()
+                      if line.startswith("plot ")]
+        assert plot_line.startswith(f"plot '{tmp_path}/it''s_summary.csv' "
+                                    "using 1:4 ")
 
     def test_missing_csv_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -117,7 +117,8 @@ DIMENSION_CASES = [
 
 @pytest.mark.parametrize("value, call", [
     pytest.param(value, call, id=f"{i}-{value}")
-    for i, call in enumerate(DIMENSION_CASES) for value in (3.7, 3.0, True)
+    for i, call in enumerate(DIMENSION_CASES)
+    for value in (3.7, 3.0, True, "3", None)
 ])
 def test_non_integral_dimension_rejected_by_name(value, call):
     with pytest.raises(ValueError,

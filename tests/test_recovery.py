@@ -212,9 +212,9 @@ class TestLmSingle:
             return solve(a, b)
 
         def recorded_eliminate_last(*args):
-            block, r = eliminate_last(*args)
+            block, gram, r = eliminate_last(*args)
             evaluated.append(float(r @ r))
-            return block, r
+            return block, gram, r
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         monkeypatch.setattr(recovery, "_eliminate_last", recorded_eliminate_last)
@@ -264,7 +264,7 @@ class TestLmSingle:
             evaluated = eliminate_last(op_, factors, y_)
             assert evaluated is not None
             events.append(("try", CpModel(tuple(a.copy() for a in factors)),
-                           evaluated[1].copy()))
+                           evaluated[2].copy()))
             return evaluated
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
@@ -314,8 +314,9 @@ class TestLmSingle:
         op = create_operator(24, (3, 3, 3), seed=60)
         y = np.random.default_rng(61).standard_normal(24)
         factors = list(_random_model((3, 3, 3), 2, 62).factors)
-        block, r = recovery._eliminate_last(op, factors, y)
+        block, gram, r = recovery._eliminate_last(op, factors, y)
         assert np.linalg.norm(block.T @ r) <= 1e-12 * np.linalg.norm(y)
+        np.testing.assert_array_equal(gram, block.T @ block)
         # a zero column makes G singular, so the solve raises
         factors[0][:, 1] = 0.0
         before = _pack(factors)
@@ -370,6 +371,53 @@ class TestLmSingle:
         off_diag = ~np.eye(size, dtype=bool)
         np.testing.assert_array_equal(damped[1][off_diag], damped[0][off_diag])
         assert np.all(np.diag(damped[1]) > np.diag(damped[0]))
+
+    @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 3, 2, 2)])
+    def test_each_point_is_evaluated_once(self, monkeypatch, dims):
+        # B_N is computed once per evaluated point, by `_eliminate_last`, and
+        # a step adds the N - 1 other blocks; its projection solves with the
+        # G that the elimination at the accepted point returned
+        rank = 2
+        op = create_operator(2 * sum(dims) * rank, dims, seed=50)
+        y = apply(op, reconstruct(_random_model(dims, rank, 51)))
+        start = list(_random_model(dims, rank, 52).factors)
+        blocks, events = [], []
+        jacobian_block = recovery._jacobian_block
+        eliminate_last = recovery._eliminate_last
+        solve = np.linalg.solve
+
+        def counted_block(*args):
+            blocks.append(args[2])
+            return jacobian_block(*args)
+
+        def recorded_eliminate_last(*args):
+            evaluated = eliminate_last(*args)
+            events.append(("point", evaluated))
+            return evaluated
+
+        def recorded_solve(a, b):
+            if b.ndim == 2:
+                events.append(("projection", a))
+            return solve(a, b)
+
+        monkeypatch.setattr(recovery, "_jacobian_block", counted_block)
+        monkeypatch.setattr(recovery, "_eliminate_last", recorded_eliminate_last)
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        run = recovery._lm_single(start, op, y, max_iters=30, floor=0.0)
+        monkeypatch.undo()
+        assert run.iterations >= 2
+        points = sum(e[0] == "point" for e in events)
+        assert len(blocks) == points + (len(dims) - 1) * run.iterations
+        gram, f_current, projections = None, np.inf, 0
+        for event in events:
+            if event[0] == "point":
+                _, gram_try, r = event[1]
+                if float(r @ r) < f_current:
+                    gram, f_current = gram_try, float(r @ r)
+            else:
+                assert event[1] is gram
+                projections += 1
+        assert projections == run.iterations
 
     @pytest.mark.parametrize("max_iters, floor, status", [
         (2000, np.inf, STATUS_FLOOR), (1, 0.0, STATUS_MAX_ITERS),
