@@ -12,6 +12,7 @@ from .tensor_core import (
     CpModel,
     DimensionMismatch,
     check_count,
+    check_seed,
     check_shape,
     frobenius_norm,
     khatri_rao_chain,
@@ -119,6 +120,7 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
         raise DimensionMismatch(f"need rows >= cols, got {rows} < {cols}")
     check_count("cols", cols)
     check_kappa("condition number target", kappa_target)
+    check_seed("rng_seed", rng_seed)
     rng = np.random.default_rng(rng_seed)
     a = rng.random((rows, cols))
     u, _, vt = np.linalg.svd(a, full_matrices=False)

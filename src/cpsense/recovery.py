@@ -7,12 +7,12 @@ uses for a tensor.
 Each restart escalates through several starting points until a rank-F run
 drives the objective ||y - Phi vec(X)||^2 to the floor 1e-11 * ||y||^2:
 
-1. i.i.d. standard normal factors scaled so the reconstruction matches
-   the measurement norm;
+1. i.i.d. standard normal factors;
 2. over-parameterized warm starts (up to three, from independent seeds):
    fit the backprojection Phi^T y with a rank-(F+1) model by dense ALS,
-   refine it against the measurements, drop the weakest component, and
-   refine again at rank F.
+   scale the columns of its first N - 1 factors to unit norm and move the
+   norms into the last, refine it against the measurements, drop the
+   weakest component, and refine again at rank F.
 
 The warm starts exist because random initialization alone frequently lands
 in spurious stationary points when the measurement count is close to the
@@ -20,13 +20,14 @@ parameter count and the rank-one components have comparable weights.
 
 Every LM run, rank-F runs and rank-(F+1) ladder fits alike, checks the floor
 at its start and after each accepted step and ends there with status
-``floor``.  The floor is relative to ||y||^2, so the search is invariant to
-scaling y: recover(op, c * y) takes the same restarts and stages for every
-c > 0, up to rounding.  A run that is not at the floor ends as ``converged``
-once the last 20 accepted steps together lowered the objective by less than
-1e-7 of it (a plateau; Madsen, Nielsen & Tingleff stop on such negligible
-progress).  The test is relative, so it keeps the search invariant to
-scaling y.
+``floor``.  A run that is not at the floor ends as ``converged`` once the
+last 20 accepted steps together lowered the objective by less than 1e-7 of
+it (a plateau; Madsen, Nielsen & Tingleff stop on such negligible progress).
+No start puts the scale of y into the first N - 1 factors; the last factor,
+which carries it, is solved for (below); the floor, the plateau test and the
+damping D = diag(J^T J) are relative.  So recover(op, c * y) runs the same
+search for every c > 0 up to rounding, and bit for bit for c a power of two:
+the last factor times c and every objective times c^2.
 
 Every LM run is a variable projection run (Golub & Pereyra, SIAM J.
 Numer. Anal. 10, 1973).  The model is linear in each factor: Phi vec(X) =
@@ -57,7 +58,6 @@ from .tensor_core import (
     CpModel,
     DimensionMismatch,
     check_count,
-    frobenius_norm,
     khatri_rao_chain,
     mse,
     reconstruct,
@@ -343,15 +343,6 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     return LmRun(_unpack(x, dims, rank), f_val, trace, it, status)
 
 
-def _scale_to_norm(factors, target: float):
-    """Rescale all factors uniformly so the reconstruction norm hits target."""
-    norm0 = frobenius_norm(reconstruct(CpModel(tuple(factors))))
-    if norm0 == 0.0:
-        return list(factors)
-    scale = (target / norm0) ** (1.0 / len(factors))
-    return [scale * a for a in factors]
-
-
 def _dense_cp_als(x_tensor: np.ndarray, rank: int, rng):
     """ALS fit of a dense tensor with a rank-`rank` CP model."""
     dims = x_tensor.shape
@@ -375,11 +366,6 @@ def _truncate(factors, rank: int):
         weights *= np.linalg.norm(a, axis=0)
     keep = np.argsort(weights)[::-1][:rank]
     return [a[:, keep].copy() for a in factors]
-
-
-def _random_start(op, y_norm, rank, rng):
-    factors = [rng.standard_normal((d, rank)) for d in op.shape]
-    return _scale_to_norm(factors, y_norm)
 
 
 @dataclass(frozen=True)
@@ -406,27 +392,31 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     check_measurement_count(op.m, op.shape, config.rank)
     if ground_truth is not None:
         ground_truth = check_tensor(op, ground_truth)
-    y_norm = float(np.linalg.norm(y))
-    floor = _STAGE_SUCCESS_REL * y_norm ** 2
+    floor = _STAGE_SUCCESS_REL * float(y @ y)
     backprojection = adjoint_apply(op, y)
-    rank = config.rank
 
     runs: list[_StartRun] = []
     iterations = 0
     for k, stage in product(range(config.restarts), range(1 + _N_LADDER_STAGES)):
         rng = np.random.default_rng(mix(mix(config.seed, k), stage))
         if stage == 0:
-            factors = _random_start(op, y_norm, rank, rng)
+            factors = [rng.standard_normal((d, config.rank)) for d in op.shape]
         else:
             # over-parameterized warm start: the rank-(F+1) fit of the
             # backprojection Phi^T y, refined, then truncated to rank F
             try:
-                factors = _dense_cp_als(backprojection, rank + 1, rng)
+                factors = _dense_cp_als(backprojection, config.rank + 1, rng)
             except np.linalg.LinAlgError:  # the ALS lstsq did not converge
                 continue
-            ladder = _lm_single(_scale_to_norm(factors, y_norm), op, y,
-                                config.max_iters, floor)
-            factors = _truncate(ladder.model.factors, rank)
+            # unit columns in the first N - 1 factors, the norms moved into
+            # the last, which carries the scale of y; a zero column stays
+            for a in factors[:-1]:
+                norms = np.linalg.norm(a, axis=0)
+                norms[norms == 0.0] = 1.0
+                a /= norms
+                factors[-1] *= norms
+            ladder = _lm_single(factors, op, y, config.max_iters, floor)
+            factors = _truncate(ladder.model.factors, config.rank)
             iterations += ladder.iterations
         run = _lm_single(factors, op, y, config.max_iters, floor)
         iterations += run.iterations

@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_core import DimensionMismatch, check_count, check_positive, check_shape, vec
+from .tensor_core import (DimensionMismatch, check_count, check_positive, check_seed,
+                          check_shape, vec)
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -70,6 +71,7 @@ def create_operator(m: int, shape, distribution: str = GAUSSIAN,
                     alpha: float = 1.0, seed: int = 0) -> SensingOperator:
     shape = check_shape(shape)
     check_count("measurement count", m)
+    check_seed("operator seed", seed)
     check_positive("alpha", alpha)
     check_distribution(distribution)
     check_operator_size(m, shape)

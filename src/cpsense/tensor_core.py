@@ -40,13 +40,18 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
 
-def check_count(name: str, value: int) -> None:
+def check_count(name: str, value: int, low: int = 1) -> None:
     """Reject a count (a rank, a number of measurements, trials, ...) that is
-    not an integer (a bool is not a count) or is below 1."""
+    not an integer (a bool is not a count) or is below ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_seed(name: str, value: int) -> None:
+    """Reject a seed numpy's generators refuse: a non-integer or a negative."""
+    check_count(name, value, low=0)
 
 
 @dataclass(frozen=True)

@@ -138,3 +138,54 @@ def test_cli_names_a_zero_rank(args, tmp_path, monkeypatch, capsys):
     assert cli.main(args + ["--dims", "4,4,4", "--rank", "0"]) == 1
     assert capsys.readouterr().err == "error: rank must be >= 1, got 0\n"
     assert not (tmp_path / "model.txt").exists()
+
+
+# (seed named in the message, a call taking its value); seeds handed to
+# numpy's generators as they are must be integers >= 0
+SEED_CASES = [
+    ("operator seed", lambda v: create_operator(10, (3, 3), seed=v)),
+    ("rng_seed", lambda v: generate_conditioned_factor(3, 2, 1.0, v)),
+]
+
+
+@pytest.mark.parametrize("name, value, message, call", [
+    pytest.param(name, value, message, call, id=f"{i}-{name}-{value}")
+    for i, (name, call) in enumerate(SEED_CASES)
+    for value, message in ((-1, "be >= 0"), (-2**70, "be >= 0"),
+                           (1.5, "be an integer"), (2.0, "be an integer"),
+                           (True, "be an integer"))
+])
+def test_bad_seed_rejected_by_name(name, value, message, call):
+    with pytest.raises(ValueError, match=f"^{name} must {message}, got {value}$"):
+        call(value)
+
+
+def test_valid_seeds_accepted():
+    # numpy integers and seeds past 64 bits reach default_rng as they are;
+    # a seed that goes through mix may be any integer
+    assert create_operator(10, (3, 3), seed=np.int64(0)).m == 10
+    assert create_operator(10, (3, 3), seed=2**70).m == 10
+    model = generate_conditioned_model((3, 3), 2, 1.0, -5)
+    assert model.shape == (3, 3)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sense", "--seed", "-1"), ("recover", "--op-seed", "-5"),
+    ("rip-probe", "--op-seed", "-1")])
+def test_cli_names_a_negative_operator_seed(command, flag, value, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--dims", "3,3", "--rank", "1",
+                     "--out", "model.txt"]) == 0
+    assert cli.main(["sense", "--model", "model.txt", "--m", "10",
+                     "--out", "y.txt"]) == 0
+    capsys.readouterr()
+    args = {"sense": ["--model", "model.txt", "--out", "y2.txt"],
+            "recover": ["--y", "y.txt", "--shape", "3,3", "--rank", "1",
+                        "--out", "rec.txt"],
+            "rip-probe": ["--dims", "3,3", "--rank", "1"]}[command]
+    assert cli.main([command, "--m", "10", flag, value] + args) == 1
+    assert capsys.readouterr().err == (
+        f"error: operator seed must be >= 0, got {value}\n")
+    assert not (tmp_path / "y2.txt").exists()
+    assert not (tmp_path / "rec.txt").exists()

@@ -193,6 +193,25 @@ class TestPacking:
         assert x[6 + 3 * 2 + 1] == b[3, 1]
 
 
+class TestEliminateLast:
+    @pytest.mark.parametrize("dims", [(4, 3, 5), (5, 6), (3, 2, 3, 4)])
+    def test_residual_free_of_column_scales(self, dims):
+        # f(theta) = min_a ||y + B_N(theta) a||^2 depends on the first N - 1
+        # factors only through range(B_N), which scaling their columns by
+        # nonzero constants leaves as it is
+        rank = 2
+        op = create_operator(3 * dims[-1] * rank, dims, seed=60)
+        y = np.random.default_rng(61).standard_normal(op.m)
+        factors = list(_random_model(dims, rank, 62).factors)
+        rng = np.random.default_rng(63)
+        scaled = [a * (rng.choice([-1.0, 1.0], rank)
+                       * 10.0 ** rng.uniform(-2.0, 2.0, rank))
+                  for a in factors[:-1]] + [np.zeros_like(factors[-1])]
+        _, _, r = recovery._eliminate_last(op, factors, y)
+        _, _, r_scaled = recovery._eliminate_last(op, scaled, y)
+        assert np.linalg.norm(r_scaled - r) <= 1e-12 * np.linalg.norm(y)
+
+
 class TestLmSingle:
     def test_stalled_run_keeps_damping_finite_and_never_raises_objective(
             self, monkeypatch):
@@ -450,8 +469,7 @@ class TestLmSingle:
         for c in (1.0, 1e3):
             y_c = c * y
             rng = np.random.default_rng(mix(mix(seed, 0), 0))
-            start = recovery._random_start(op, float(np.linalg.norm(y_c)), 3,
-                                           rng)
+            start = [rng.standard_normal((8, 3)) for _ in range(3)]
             run = recovery._lm_single(start, op, y_c, max_iters=500,
                                       floor=1e-11 * float(y_c @ y_c))
             assert run.status == STATUS_CONVERGED
@@ -461,7 +479,7 @@ class TestLmSingle:
             # the last 21 values meet the rule and no earlier window does
             assert _plateau_ends(run.trace) == [run.iterations]
             runs.append((start, run))
-        # the 1e3 start differs from the first by rounding, which can move
+        # the 1e3 run differs from the first by rounding, which can move
         # the step at which a window first falls below 1e-7; scaled by
         # powers of two, every value scales exactly and so must the run
         start, run = runs[0]
@@ -659,6 +677,27 @@ class TestRecover:
         assert report.restart_index == k
         assert report.iterations == sum(r.iterations for r in runs)
 
+    def test_zero_column_in_a_ladder_fit_stays_finite(self, monkeypatch):
+        # a zero column has no direction to scale to unit norm; it stays
+        # zero rather than turning every factor to NaN through 0 / 0
+        fits = []
+
+        def zero_column_als(x_tensor, rank, rng):
+            factors = als(x_tensor, rank, rng)
+            factors[0][:, 0] = 0.0
+            fits.append(rank)
+            return factors
+
+        als = recovery._dense_cp_als
+        monkeypatch.setattr(recovery, "_dense_cp_als", zero_column_als)
+        # the instance above, whose first random start fails
+        truth = reconstruct(generate_conditioned_model((4, 4, 4), 2, 100.0, 0))
+        op = create_operator(36, (4, 4, 4), seed=109)
+        report = recover(op, apply(op, truth), RecoveryConfig(rank=2, seed=206))
+        assert fits
+        assert all(np.isfinite(a).all() for a in report.model.factors)
+        assert np.isfinite(report.objective)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_measurements_rejected_before_the_solve(self, monkeypatch,
                                                               bad):
@@ -761,6 +800,27 @@ class TestScaleEquivariance:
             searches.append((report.restart_index, len(calls)))
         # iteration counts may differ by rounding; the starts taken may not
         assert searches == [searches[1]] * 3
+
+    @pytest.mark.parametrize("k", [-100, 100])
+    def test_power_of_two_scale_runs_the_same_search(self, k):
+        # the Fig. 1 kappa_tilde = 1, trial 0 instance at base seed 1.  No
+        # start carries the scale of y outside the eliminated last factor,
+        # and scaling by 2^k is exact, so every run scales exactly
+        op, y, seed = _fig1_instance(0, 0)
+        config = RecoveryConfig(rank=3, seed=seed)
+        base = recover(op, y, config)
+        scaled = recover(op, 2.0 ** k * y, config)
+        assert base.status == STATUS_FLOOR
+        assert ((scaled.restart_index, scaled.stage_index, scaled.status,
+                 scaled.iterations) == (base.restart_index, base.stage_index,
+                                        base.status, base.iterations))
+        assert scaled.objective == 4.0 ** k * base.objective
+        assert scaled.objective_trace == [4.0 ** k * v
+                                          for v in base.objective_trace]
+        for a, b in zip(scaled.model.factors[:-1], base.model.factors[:-1]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(scaled.model.factors[-1],
+                              2.0 ** k * base.model.factors[-1])
 
 
 class TestStartSchedule:
