@@ -116,8 +116,7 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
     replaced by values evenly spaced from 1 down to 1/kappa_target while the
     singular vectors are kept, so the spectral norm is 1.
     """
-    if rows < cols:
-        raise DimensionMismatch(f"need rows >= cols, got {rows} < {cols}")
+    check_rank_fits((rows,), cols)
     check_count("cols", cols)
     check_kappa("condition number target", kappa_target)
     check_seed("rng_seed", rng_seed)
@@ -137,6 +136,7 @@ def generate_conditioned_model(dims, rank: int, kappa_tilde: float,
     check_count("rank", rank)
     dims = check_shape(dims)
     check_rank_fits(dims, rank)
+    check_count("rng_seed", rng_seed, low=-math.inf)
     factors = tuple(
         generate_conditioned_factor(d, rank, kappa_tilde, mix(rng_seed, n))
         for n, d in enumerate(dims)

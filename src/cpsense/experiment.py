@@ -97,6 +97,7 @@ class ExperimentConfig:
         check_positive("alpha", self.alpha)
         check_distribution(self.distribution)
         check_count("trials", self.trials)
+        check_count("base_seed", self.base_seed, low=-math.inf)
         check_positive("success_mse_threshold", self.success_mse_threshold)
         if self.m is not None:
             if len(self.m) not in (1, len(self.kappa_grid)):
@@ -292,6 +293,15 @@ title 'success count'
         fh.write(script)
 
 
+def _central_differences(f, x0: np.ndarray) -> np.ndarray:
+    """(f(x0 + h e_j) - f(x0 - h e_j)) / 2h with h = 1e-6, for every j,
+    stacked along the last axis: the Jacobian of a vector f, the gradient of
+    a scalar one."""
+    h = 1e-6
+    return np.stack([(f(x0 + h * e) - f(x0 - h * e)) / (2 * h)
+                     for e in np.eye(x0.size)], axis=-1)
+
+
 def selftest() -> dict[str, bool]:
     """Fast invariant suite; returns check name -> pass."""
     results: dict[str, bool] = {}
@@ -313,19 +323,10 @@ def selftest() -> dict[str, bool]:
     model = CpModel(tuple(rng.standard_normal((3, 2)) for _ in range(3)))
     yv = rng.standard_normal(op.m)
     _, jac = residual_jacobian(model, op, yv)
-    x0 = _pack(model.factors)
-    step = 1e-6
-    ok = True
-    for j in range(x0.size):
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += step
-        xm[j] -= step
-        rp = yv - sense_apply(op, reconstruct(_unpack(xp, op.shape, 2)))
-        rm = yv - sense_apply(op, reconstruct(_unpack(xm, op.shape, 2)))
-        fd = (rp - rm) / (2 * step)
-        if not np.allclose(jac[:, j], fd, rtol=1e-5, atol=1e-8):
-            ok = False
-    results["jacobian_fd"] = ok
+    fd = _central_differences(
+        lambda x: yv - sense_apply(op, reconstruct(_unpack(x, op.shape, 2))),
+        _pack(model.factors))
+    results["jacobian_fd"] = bool(np.allclose(jac, fd, rtol=1e-5, atol=1e-8))
 
     # the LM run's gradient g over the first N - 1 factors, with the last one
     # eliminated, vs central differences of f(theta) = min_a ||y + B_N a||^2
@@ -333,7 +334,6 @@ def selftest() -> dict[str, bool]:
     factors = [a.copy() for a in model.factors]
     _, g = _projected_normal_equations(op, factors,
                                        *_eliminate_last(op, factors, yv))
-    theta0 = _pack(factors[:-1])
     last = factors[-1].size
 
     def projected_objective(theta):
@@ -343,15 +343,8 @@ def selftest() -> dict[str, bool]:
         r = yv + block @ np.linalg.lstsq(block, -yv, rcond=None)[0]
         return float(r @ r)
 
-    ok = True
-    for j in range(theta0.size):
-        tp, tm = theta0.copy(), theta0.copy()
-        tp[j] += step
-        tm[j] -= step
-        fd = (projected_objective(tp) - projected_objective(tm)) / (2 * step)
-        if not np.isclose(2.0 * g[j], fd, rtol=1e-5, atol=1e-7):
-            ok = False
-    results["vp_gradient_fd"] = ok
+    fd = _central_differences(projected_objective, _pack(factors[:-1]))
+    results["vp_gradient_fd"] = bool(np.allclose(2.0 * g, fd, rtol=1e-5, atol=1e-7))
 
     # Khatri-Rao spectral bound: inserting U among unit-norm factors
     ok = True

@@ -103,6 +103,7 @@ class RecoveryConfig:
         check_count("rank", self.rank)
         check_count("max_iters", self.max_iters)
         check_count("restarts", self.restarts)
+        check_count("seed", self.seed, low=-math.inf)
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,7 @@ def _truncate(factors, rank: int):
     for a in factors:
         weights *= np.linalg.norm(a, axis=0)
     keep = np.argsort(weights)[::-1][:rank]
-    return [a[:, keep].copy() for a in factors]
+    return [a[:, keep] for a in factors]
 
 
 @dataclass(frozen=True)

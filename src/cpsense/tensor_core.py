@@ -40,9 +40,10 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
 
 
-def check_count(name: str, value: int, low: int = 1) -> None:
+def check_count(name: str, value: int, low: float = 1) -> None:
     """Reject a count (a rank, a number of measurements, trials, ...) that is
-    not an integer (a bool is not a count) or is below ``low``."""
+    not an integer (a bool is not a count) or is below ``low``.  A seed of
+    `seeding.mix` takes ``low=-math.inf``: any integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < low:
@@ -133,15 +134,13 @@ def khatri_rao_chain(factors) -> np.ndarray:
 def reconstruct(model: CpModel) -> np.ndarray:
     """Dense tensor equal to the sum of the model's rank-one components.
 
-    The components are added in order 0, 1, ..., F-1.  Below 8 components
-    that gives the bits of `khatri_rao_chain(factors).sum(axis=1)`; from 8
-    on, numpy sums a contiguous axis pairwise and the last bits can differ.
+    The components are added in order 0, 1, ..., F-1: numpy reduces the
+    leading axis of the C-contiguous F x J component rows one row at a time.
+    Below 8 components that gives the bits of
+    `khatri_rao_chain(factors).sum(axis=1)`; from 8 on, numpy sums a
+    contiguous axis pairwise and the last bits can differ.
     """
-    rows = _component_rows(model.factors)
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total.reshape(model.shape)
+    return _component_rows(model.factors).sum(axis=0).reshape(model.shape)
 
 
 def vec(x: np.ndarray) -> np.ndarray:

@@ -111,6 +111,7 @@ def rip_probe(op: SensingOperator, rank: int, kappa_tilde: float,
     so neither it nor its image under Phi grows much past 1 MiB.
     """
     check_count("samples", samples)
+    check_count("seed", seed, low=-math.inf)
     j = math.prod(op.shape)
     rows = max(1, _PROBE_BLOCK_BYTES // (8 * max(j, op.m)))
     block = np.empty((min(rows, samples), j))

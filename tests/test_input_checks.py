@@ -169,6 +169,35 @@ def test_valid_seeds_accepted():
     assert model.shape == (3, 3)
 
 
+# (seed named in the message, a call taking its value); a seed that goes
+# through `mix` may be any integer, negative too, but not a float or a bool
+MIX_SEED_CASES = [
+    ("seed", lambda v: RecoveryConfig(rank=1, seed=v)),
+    ("base_seed", lambda v: _sweep(base_seed=v)),
+    ("rng_seed", lambda v: generate_conditioned_model((3, 3), 2, 1.0, v)),
+    ("seed", lambda v: rip_probe(_OP, 1, 1.0, 5, v)),
+]
+
+
+@pytest.mark.parametrize("name, value, call", [
+    pytest.param(name, value, call, id=f"{i}-{name}-{value}")
+    for i, (name, call) in enumerate(MIX_SEED_CASES) for value in (1.5, True)
+])
+def test_non_integral_mix_seed_rejected_by_name(name, value, call):
+    # mix would cut 1.5 to 1 and take True as 1
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=f"{i}-{name}")
+    for i, (name, call) in enumerate(MIX_SEED_CASES)
+])
+def test_negative_mix_seed_accepted(call):
+    call(-1)
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("sense", "--seed", "-1"), ("recover", "--op-seed", "-5"),
     ("rip-probe", "--op-seed", "-1")])

@@ -83,6 +83,18 @@ class TestReconstruct:
         scaled = reconstruct(CpModel((7.5 * factors[0],) + tuple(factors[1:])))
         np.testing.assert_allclose(scaled, 7.5 * base, atol=1e-12)
 
+    @pytest.mark.parametrize("rank", [8, 9, 33])
+    def test_components_added_left_to_right(self, rank):
+        # from 8 terms numpy sums a contiguous axis pairwise, with other bits
+        rng = np.random.default_rng(rank)
+        factors = [rng.standard_normal((d, rank)) for d in (4, 5, 6)]
+        chain = khatri_rao_chain(factors)
+        total = chain[:, 0].copy()
+        for f in range(1, rank):
+            total += chain[:, f]
+        assert np.array_equal(reconstruct(CpModel(tuple(factors))),
+                              total.reshape(4, 5, 6))
+
     def test_mismatched_columns_raise(self):
         with pytest.raises(DimensionMismatch):
             CpModel((np.ones((3, 2)), np.ones((3, 3))))
