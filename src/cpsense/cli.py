@@ -15,6 +15,18 @@ from .recovery import RecoveryConfig, recover
 from .tensor_core import reconstruct
 
 
+def _print_fields(fields: dict, report_path=None) -> None:
+    """Print one ``name=value`` line per field, floats through `format_float`
+    and other values through `str`; write the same text to ``report_path``
+    when it is given."""
+    text = "\n".join(f"{name}={format_float(v) if isinstance(v, float) else v}"
+                     for name, v in fields.items())
+    if report_path:
+        with open(report_path, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def _cmd_gen(args) -> int:
     model = conditioning.generate_conditioned_model(
         args.dims, args.rank, args.kappa, args.seed)
@@ -25,12 +37,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_kappa(args) -> int:
     report = conditioning.kappa(io_text.read_cpmodel(args.model))
-    print(f"status={report.status}")
-    print(f"kappa={format_float(report.kappa)}")
-    print(f"sigma_max_product={format_float(report.sigma_max_product)}")
-    print(f"sigma_min_kr={format_float(report.sigma_min_kr)}")
     bound = report.cond_product_bound
-    print("cond_product_bound=" + ("unavailable" if bound is None else format_float(bound)))
+    _print_fields({"status": report.status, "kappa": report.kappa,
+                   "sigma_max_product": report.sigma_max_product,
+                   "sigma_min_kr": report.sigma_min_kr,
+                   "cond_product_bound": "unavailable" if bound is None else bound})
     return 0
 
 
@@ -52,21 +63,13 @@ def _cmd_recover(args) -> int:
     truth = io_text.read_tensor(args.truth) if args.truth else None
     report = recover(op, y, config, ground_truth=truth)
     io_text.write_cpmodel(args.out, report.model)
-    lines = [
-        f"objective={format_float(report.objective)}",
-        f"iterations={report.iterations}",
-        f"status={report.status}",
-        f"restart_index={report.restart_index}",
-        f"stage_index={report.stage_index}",
-    ]
+    fields = {"objective": report.objective, "iterations": report.iterations,
+              "status": report.status, "restart_index": report.restart_index,
+              "stage_index": report.stage_index}
     if report.mse is not None:
-        lines.append(f"mse={format_float(report.mse)}")
-    lines.append("trace=" + ",".join(format_float(v) for v in report.objective_trace))
-    text = "\n".join(lines)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        fields["mse"] = report.mse
+    fields["trace"] = ",".join(format_float(v) for v in report.objective_trace)
+    _print_fields(fields, args.report)
     return 0
 
 
@@ -76,19 +79,18 @@ def _cmd_bound(args) -> int:
                                        alpha=args.alpha, c=args.C,
                                        delta=args.delta)
     t1 = theory_bounds.theorem1_measurement_bound(inputs)
-    print(f"theorem1_bound={format_float(t1)}")
-    print(f"theorem1_suggested_m={math.ceil(t1)}")
+    fields = {"theorem1_bound": t1, "theorem1_suggested_m": math.ceil(t1)}
     if args.delta is not None:
         p2 = theory_bounds.prop2_measurement_bound(inputs)
-        print(f"prop2_bound={format_float(p2)}")
-        print(f"prop2_suggested_m={math.ceil(p2)}")
+        fields.update(prop2_bound=p2, prop2_suggested_m=math.ceil(p2))
+    _print_fields(fields)
     return 0
 
 
 def _cmd_cover(args) -> int:
     value = theory_bounds.covering_log_cardinality(args.dims, args.rank,
                                                    args.tau, args.eps)
-    print(f"covering_log_cardinality={format_float(value)}")
+    _print_fields({"covering_log_cardinality": value})
     return 0
 
 
@@ -97,11 +99,9 @@ def _cmd_rip_probe(args) -> int:
                                  args.op_seed)
     result = theory_bounds.rip_probe(op, args.rank, args.kappa, args.samples,
                                      args.seed)
-    print(f"samples={result.samples}")
-    print(f"mean_ratio={format_float(result.mean_ratio)}")
-    print(f"min_ratio={format_float(result.min_ratio)}")
-    print(f"max_ratio={format_float(result.max_ratio)}")
-    print(f"delta_hat={format_float(result.delta_hat)}")
+    _print_fields({"samples": result.samples, "mean_ratio": result.mean_ratio,
+                   "min_ratio": result.min_ratio, "max_ratio": result.max_ratio,
+                   "delta_hat": result.delta_hat})
     return 0
 
 

@@ -116,8 +116,9 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
     replaced by values evenly spaced from 1 down to 1/kappa_target while the
     singular vectors are kept, so the spectral norm is 1.
     """
-    check_rank_fits((rows,), cols)
+    check_count("rows", rows)
     check_count("cols", cols)
+    check_rank_fits((rows,), cols)
     check_kappa("condition number target", kappa_target)
     check_seed("rng_seed", rng_seed)
     rng = np.random.default_rng(rng_seed)

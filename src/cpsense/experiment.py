@@ -331,10 +331,9 @@ def selftest() -> dict[str, bool]:
     # the LM run's gradient g over the first N - 1 factors, with the last one
     # eliminated, vs central differences of f(theta) = min_a ||y + B_N a||^2
     # (f has gradient 2 g), on the same instance
-    factors = [a.copy() for a in model.factors]
-    _, g = _projected_normal_equations(op, factors,
-                                       *_eliminate_last(op, factors, yv))
-    last = factors[-1].size
+    theta0 = _pack(model.factors[:-1])
+    _, g = _projected_normal_equations(op, _eliminate_last(op, theta0, 2, yv))
+    last = model.factors[-1].size
 
     def projected_objective(theta):
         x = np.concatenate([theta, np.zeros(last)])
@@ -343,7 +342,7 @@ def selftest() -> dict[str, bool]:
         r = yv + block @ np.linalg.lstsq(block, -yv, rcond=None)[0]
         return float(r @ r)
 
-    fd = _central_differences(projected_objective, _pack(factors[:-1]))
+    fd = _central_differences(projected_objective, theta0)
     results["vp_gradient_fd"] = bool(np.allclose(2.0 * g, fd, rtol=1e-5, atol=1e-7))
 
     # Khatri-Rao spectral bound: inserting U among unit-norm factors

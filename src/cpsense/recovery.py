@@ -1,8 +1,8 @@
 """Rank-constrained recovery by damped Gauss-Newton on the factor parameterization.
 
-The unknowns are the stacked factor entries, mode by mode, each I_n x F
-factor in C order: A_n(i, f) sits at offset_n + i * F + f, the order `vec`
-uses for a tensor.
+A run's unknowns theta are the first N - 1 factors (below), stacked mode by
+mode, each I_n x F factor in C order: A_n(i, f) sits at offset_n + i * F + f,
+the order `vec` uses for a tensor.
 
 Each restart escalates through several starting points until a rank-F run
 drives the objective ||y - Phi vec(X)||^2 to the floor 1e-11 * ||y||^2:
@@ -34,13 +34,14 @@ Numer. Anal. 10, 1973).  The model is linear in each factor: Phi vec(X) =
 -B_N vec(A_N), with B_N the last Jacobian block, which depends on the other
 N - 1 factors only.  So at every point it evaluates, the run eliminates the
 last factor: it solves A_N = -G^-1 B_N^T y, G = B_N^T B_N, by least squares
-and scores the point as ||y + B_N vec(A_N)||^2.  Its unknowns are the first
-N - 1 factors, and each step solves the damped normal equations of Kaufman's
-projected Jacobian (BIT 15, 1975), J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}]:
-48 unknowns at the paper's 8 x 8 x 8, F = 3, against 72 for all factors.
-A run applies Phi only to score a start whose elimination fails, and
-builds one `CpModel`, when it ends.  The last factor has I_N F entries, so
-`recover` rejects M < I_N F, where G is singular.
+and scores the point as ||y + B_N vec(A_N)||^2.  Its unknowns are theta, the
+first N - 1 factors, and each step solves the damped normal equations of
+Kaufman's projected Jacobian (BIT 15, 1975),
+J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}]: 48 unknowns at the paper's
+8 x 8 x 8, F = 3, against 72 for all factors.  The given last factor is used
+only to score a start whose elimination fails, the one time a run applies
+Phi.  A run builds one `CpModel`, when it ends.  The last factor has I_N F
+entries, so `recover` rejects M < I_N F, where G is singular.
 """
 
 from __future__ import annotations
@@ -179,15 +180,31 @@ def check_measurement_count(m: int, shape, rank: int) -> None:
                          f"the entry count of the last factor")
 
 
-def _eliminate_last(op: SensingOperator, factors, y: np.ndarray):
-    """Solve for the last factor by least squares at the other N - 1.
+@dataclass(frozen=True)
+class _Point:
+    """A point of a variable projection run: the packed first N - 1 factors
+    theta, their factor views followed by the last factor solved for at them,
+    the last Jacobian block B_N, G = B_N^T B_N, the residual r and
+    f = ||r||^2."""
 
-    Returns the last Jacobian block B_N, which depends on the other factors
-    only, G = B_N^T B_N and the residual r = y + B_N vec(a) at
-    a = -G^-1 B_N^T y; a is written into ``factors[-1]``.  Returns None,
-    with ``factors`` untouched, when the solve raises or a is not finite.
-    """
-    block = _jacobian_block(op, factors, len(factors) - 1)
+    theta: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    block: np.ndarray
+    gram: np.ndarray
+    r: np.ndarray
+    f: float
+
+
+def _eliminate_last(op: SensingOperator, theta: np.ndarray, rank: int,
+                    y: np.ndarray) -> _Point | None:
+    """Solve for the last factor by least squares at the packed first N - 1
+    factors theta: a = -G^-1 B_N^T y, with B_N the last Jacobian block, which
+    depends on theta only, and G = B_N^T B_N; the residual is
+    r = y + B_N vec(a).  Returns None when the solve raises or a is not
+    finite.  Writes into no array it is given."""
+    thetas = _factor_views(theta, op.shape[:-1], rank)
+    # the last block is built from the other N - 1 factors alone
+    block = _jacobian_block(op, thetas, len(thetas))
     gram = block.T @ block
     try:
         a = np.linalg.solve(gram, -(block.T @ y))
@@ -195,23 +212,24 @@ def _eliminate_last(op: SensingOperator, factors, y: np.ndarray):
         return None
     if not np.isfinite(a).all():
         return None
-    factors[-1][...] = a.reshape(factors[-1].shape)
-    return block, gram, y + block @ a
+    r = y + block @ a
+    return _Point(theta, (*thetas, a.reshape(op.shape[-1], rank)), block, gram,
+                  r, float(r @ r))
 
 
-def _projected_normal_equations(op: SensingOperator, factors, block: np.ndarray,
-                                gram: np.ndarray, r: np.ndarray):
+def _projected_normal_equations(op: SensingOperator, point: _Point):
     """J^T J and g = J^T r for Kaufman's projected Jacobian
-    J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}], at factors whose last one
-    `_eliminate_last` solved for, with its B_N, G and r.  There r is orthogonal
-    to the columns of B_N, so g = [B_1 ... B_{N-1}]^T r: half the gradient of
-    min_a ||y + B_N a||^2 over the first N - 1 factors."""
+    J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}] at a point `_eliminate_last`
+    returned.  There r is orthogonal to the columns of B_N, so
+    g = [B_1 ... B_{N-1}]^T r: half the gradient of min_a ||y + B_N a||^2
+    over theta."""
+    factors = point.factors
     jac = np.hstack([_jacobian_block(op, factors, n)
                      for n in range(len(factors) - 1)])
-    g = jac.T @ r
+    g = jac.T @ point.r
     # B_N^T J as the transpose of a C-ordered product: the solve then takes
     # its right sides in Fortran order, without a transposed copy
-    jac -= block @ np.linalg.solve(gram, (jac.T @ block).T)
+    jac -= point.block @ np.linalg.solve(point.gram, (jac.T @ point.block).T)
     return jac.T @ jac, g
 
 
@@ -238,22 +256,23 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     """One damped Gauss-Newton run from the given factors, at their rank, by
     variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
 
-    The unknowns theta are the first N - 1 factors.  At every evaluated
-    point the last factor is eliminated: `_eliminate_last` solves for it by
-    least squares, so the objective is f(theta) = min_a ||y + B_N(theta) a||^2.
-    A step solves the damped normal equations of Kaufman's projected
-    Jacobian (BIT 15, 1975), `_projected_normal_equations`, which has
-    (sum(I_n) - I_N) F unknowns.
+    The unknowns theta are the first N - 1 factors; the iterate is a
+    `_Point`.  At every evaluated point the last factor is eliminated:
+    `_eliminate_last` solves for it by least squares, so the objective is
+    f(theta) = min_a ||y + B_N(theta) a||^2.  A step solves the damped normal
+    equations of Kaufman's projected Jacobian (BIT 15, 1975),
+    `_projected_normal_equations`, which has (sum(I_n) - I_N) F unknowns.
 
-    The run ends as `floor` at the start or after the first accepted step
-    whose objective is at most ``floor``.  If the start's elimination fails,
-    it ends at the given factors after 0 iterations, scored by `objective`
-    (its one use of Phi): `floor` if that is at most ``floor``, else `stalled`.
-    After any other accepted step it ends as `converged` if the last 20
-    accepted steps together lowered the objective by less than 1e-7 of it:
-    f > (1 - 1e-7) * f_{-20}, with f_{-20} the objective 20 accepted steps
-    back.  The test is a product, not a ratio, so it is safe at f = 0 and
-    free of the scale of y.
+    Each iteration, the start included, first tests the current point: the
+    run ends as `floor` if its objective is at most ``floor``, as
+    `converged` if the last 20 accepted steps together lowered the objective
+    by less than 1e-7 of it (f > (1 - 1e-7) * f_{-20}, with f_{-20} the
+    objective 20 accepted steps back; a product, not a ratio, so it is safe
+    at f = 0 and free of the scale of y), and as `max_iters` after
+    ``max_iters`` steps.  The given last factor is used only if the start's
+    elimination fails: the run then ends at the given factors after 0
+    iterations, scored by `objective` (its one use of Phi): `floor` if that
+    is at most ``floor``, else `stalled`.
 
     The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
     Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
@@ -263,41 +282,41 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     fails, scales mu by nu and doubles nu.  A step so small that
     theta - delta rounds back to theta ends the run as stalled.
 
-    The run works on the packed vector x = (theta, a) and its factor views;
     ``y`` is taken as checked.  The one `CpModel` is built when the run ends.
     """
-    dims = op.shape
     rank = factors0[0].shape[1]
-    x = _pack(factors0)
-    factors = _factor_views(x, dims, rank)
-    evaluated = _eliminate_last(op, factors, y)
-    if evaluated is None:
-        model = _unpack(x, dims, rank)
+    point = _eliminate_last(op, _pack(factors0[:-1]), rank, y)
+    if point is None:
+        model = _unpack(_pack(factors0), op.shape, rank)
         f_val = objective(model, op, y)
         return LmRun(model, f_val, [f_val], 0,
                      STATUS_FLOOR if f_val <= floor else STATUS_STALLED)
-    block, gram, r = evaluated
-    f_val = float(r @ r)
-    trace = [f_val]
-    if f_val <= floor:
-        return LmRun(_unpack(x, dims, rank), f_val, trace, 0, STATUS_FLOOR)
 
-    size = x.size - factors[-1].size
+    trace = [point.f]
     mu = _DAMPING_INIT
     nu = 2.0
-    status = STATUS_MAX_ITERS
     it = 0
-    for it in range(1, max_iters + 1):
+    while True:
+        if point.f <= floor:
+            status = STATUS_FLOOR
+            break
+        if len(trace) > _PLATEAU_STEPS and point.f > (
+                1.0 - _PLATEAU_REL_TOL) * trace[-1 - _PLATEAU_STEPS]:
+            status = STATUS_CONVERGED
+            break
+        if it == max_iters:
+            status = STATUS_MAX_ITERS
+            break
+        it += 1
         # J^T J, with mu * shift set on its diagonal for each try
-        damped, g = _projected_normal_equations(op, factors, block, gram, r)
-        damped_diag = damped.reshape(-1)[::size + 1]
+        damped, g = _projected_normal_equations(op, point)
+        damped_diag = damped.reshape(-1)[::g.size + 1]
         diag = damped_diag.copy()
         dmax = max(float(diag.max()), _TINY)
         shift = np.maximum(diag, _DIAG_FLOOR * dmax)
-        theta = x[:size]
         # below this length, theta - delta rounds back to (about) theta
-        min_step = _EPS * math.sqrt(theta @ theta)
-        accepted = False
+        min_step = _EPS * math.sqrt(point.theta @ point.theta)
+        accepted = None
         for _ in range(_MAX_DAMPING_RETRIES):
             damped_diag[:] = diag + mu * shift
             try:
@@ -307,16 +326,11 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
             if delta is not None and np.isfinite(delta).all():
                 if math.sqrt(delta @ delta) <= min_step:
                     break
-                x_new = x.copy()
-                x_new[:size] -= delta
-                factors_new = _factor_views(x_new, dims, rank)
-                evaluated = _eliminate_last(op, factors_new, y)
+                trial = _eliminate_last(op, point.theta - delta, rank, y)
                 # a try whose elimination fails is rejected
-                f_new = (math.inf if evaluated is None
-                         else float(evaluated[2] @ evaluated[2]))
-                if f_new < f_val:
-                    accepted = True
-                    gain = f_val - f_new
+                if trial is not None and trial.f < point.f:
+                    accepted = trial
+                    gain = point.f - trial.f
                     # decrease of ||r - J delta||^2 from ||r||^2
                     predicted = float(delta @ g + mu * (shift * delta) @ delta)
                     # rho >= 1 (or a prediction lost to rounding) gets the
@@ -327,21 +341,13 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
                     break
             mu *= nu
             nu *= 2.0
-        if not accepted:
+        if accepted is None:
             status = STATUS_STALLED
             break
-        x, factors, f_val = x_new, factors_new, f_new
-        block, gram, r = evaluated
-        trace.append(f_val)
-        if f_val <= floor:
-            status = STATUS_FLOOR
-            break
-        if len(trace) > _PLATEAU_STEPS and f_val > (
-                1.0 - _PLATEAU_REL_TOL) * trace[-1 - _PLATEAU_STEPS]:
-            status = STATUS_CONVERGED
-            break
+        point = accepted
+        trace.append(point.f)
 
-    return LmRun(_unpack(x, dims, rank), f_val, trace, it, status)
+    return LmRun(CpModel(point.factors), point.f, trace, it, status)
 
 
 def _dense_cp_als(x_tensor: np.ndarray, rank: int, rng):
@@ -393,6 +399,8 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     check_measurement_count(op.m, op.shape, config.rank)
     if ground_truth is not None:
         ground_truth = check_tensor(op, ground_truth)
+        if not np.all(np.isfinite(ground_truth)):
+            raise ValueError("ground_truth must be finite")
     floor = _STAGE_SUCCESS_REL * float(y @ y)
     backprojection = adjoint_apply(op, y)
 

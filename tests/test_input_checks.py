@@ -76,6 +76,7 @@ COUNT_CASES = [
     ("measurement count", lambda v: create_operator(v, (3, 3))),
     ("rank", lambda v: generate_conditioned_model((3, 3), v, 1.0, 0)),
     ("cols", lambda v: generate_conditioned_factor(3, v, 1.0, 0)),
+    ("rows", lambda v: generate_conditioned_factor(v, 1, 1.0, 0)),
 ]
 
 
@@ -91,10 +92,11 @@ def test_bad_count_rejected_by_name(name, value, call):
 @pytest.mark.parametrize("name, value, call", [
     pytest.param(name, value, call, id=f"{i}-{name}-{value}")
     for i, (name, call) in enumerate(COUNT_CASES)
-    for value in (2.5, 3.0, True, np.float64(2.0))
+    for value in (2.5, 3.0, True, np.float64(2.0), "3")
 ])
 def test_non_integral_count_rejected_by_name(name, value, call):
-    # a float is not silently cut to an integer, and a bool is not a count
+    # a float is not silently cut to an integer, and a bool or a string is
+    # not a count
     with pytest.raises(ValueError,
                        match=f"^{name} must be an integer, got {value}$"):
         call(value)

@@ -202,14 +202,46 @@ class TestEliminateLast:
         rank = 2
         op = create_operator(3 * dims[-1] * rank, dims, seed=60)
         y = np.random.default_rng(61).standard_normal(op.m)
-        factors = list(_random_model(dims, rank, 62).factors)
+        thetas = _random_model(dims, rank, 62).factors[:-1]
         rng = np.random.default_rng(63)
         scaled = [a * (rng.choice([-1.0, 1.0], rank)
                        * 10.0 ** rng.uniform(-2.0, 2.0, rank))
-                  for a in factors[:-1]] + [np.zeros_like(factors[-1])]
-        _, _, r = recovery._eliminate_last(op, factors, y)
-        _, _, r_scaled = recovery._eliminate_last(op, scaled, y)
+                  for a in thetas]
+        r = recovery._eliminate_last(op, _pack(thetas), rank, y).r
+        r_scaled = recovery._eliminate_last(op, _pack(scaled), rank, y).r
         assert np.linalg.norm(r_scaled - r) <= 1e-12 * np.linalg.norm(y)
+
+    def test_never_writes_into_theta(self, monkeypatch):
+        op = create_operator(24, (3, 3, 3), seed=60)
+        y = np.random.default_rng(61).standard_normal(24)
+        y_before = y.copy()
+        theta = _pack(_random_model((3, 3, 3), 2, 62).factors[:-1])
+        before = theta.copy()
+        point = recovery._eliminate_last(op, theta, 2, y)
+        np.testing.assert_array_equal(theta, before)
+        # the point: theta, its factor views and the solved last factor,
+        # B_N, G = B_N^T B_N, r orthogonal to the columns of B_N, f = ||r||^2
+        assert point.theta is theta
+        np.testing.assert_array_equal(_pack(point.factors[:-1]), theta)
+        np.testing.assert_array_equal(point.r,
+                                      y + point.block @ point.factors[-1].ravel())
+        assert np.linalg.norm(point.block.T @ point.r) <= (
+            1e-12 * np.linalg.norm(y))
+        np.testing.assert_array_equal(point.gram, point.block.T @ point.block)
+        assert point.f == float(point.r @ point.r)
+        # a zero column makes G singular, so the solve raises
+        recovery._factor_views(theta, (3, 3), 2)[0][:, 1] = 0.0
+        before = theta.copy()
+        assert recovery._eliminate_last(op, theta, 2, y) is None
+        np.testing.assert_array_equal(theta, before)
+        # a solve that returns a non-finite last factor
+        recovery._factor_views(theta, (3, 3), 2)[0][:, 1] = 1.0
+        before = theta.copy()
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full(b.shape, np.nan))
+        assert recovery._eliminate_last(op, theta, 2, y) is None
+        np.testing.assert_array_equal(theta, before)
+        np.testing.assert_array_equal(y, y_before)
 
 
 class TestLmSingle:
@@ -231,9 +263,9 @@ class TestLmSingle:
             return solve(a, b)
 
         def recorded_eliminate_last(*args):
-            block, gram, r = eliminate_last(*args)
-            evaluated.append(float(r @ r))
-            return block, gram, r
+            point = eliminate_last(*args)
+            evaluated.append(point.f)
+            return point
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         monkeypatch.setattr(recovery, "_eliminate_last", recorded_eliminate_last)
@@ -279,12 +311,12 @@ class TestLmSingle:
                 events.append(("solve", a.copy(), b.copy()))
             return solve(a, b)
 
-        def recorded_eliminate_last(op_, factors, y_):
-            evaluated = eliminate_last(op_, factors, y_)
-            assert evaluated is not None
-            events.append(("try", CpModel(tuple(a.copy() for a in factors)),
-                           evaluated[2].copy()))
-            return evaluated
+        def recorded_eliminate_last(*args):
+            point = eliminate_last(*args)
+            assert point is not None
+            events.append(("try", CpModel(tuple(a.copy() for a in point.factors)),
+                           point.r.copy()))
+            return point
 
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         monkeypatch.setattr(recovery, "_eliminate_last", recorded_eliminate_last)
@@ -328,26 +360,6 @@ class TestLmSingle:
         assert run.objective == f_current
         np.testing.assert_array_equal(_pack(run.model.factors),
                                       _pack(current[0].factors))
-
-    def test_failed_elimination_leaves_the_factors(self, monkeypatch):
-        op = create_operator(24, (3, 3, 3), seed=60)
-        y = np.random.default_rng(61).standard_normal(24)
-        factors = list(_random_model((3, 3, 3), 2, 62).factors)
-        block, gram, r = recovery._eliminate_last(op, factors, y)
-        assert np.linalg.norm(block.T @ r) <= 1e-12 * np.linalg.norm(y)
-        np.testing.assert_array_equal(gram, block.T @ block)
-        # a zero column makes G singular, so the solve raises
-        factors[0][:, 1] = 0.0
-        before = _pack(factors)
-        assert recovery._eliminate_last(op, factors, y) is None
-        np.testing.assert_array_equal(_pack(factors), before)
-        # a solve that returns a non-finite last factor
-        factors[0][:, 1] = 1.0
-        before = _pack(factors)
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: np.full(b.shape, np.nan))
-        assert recovery._eliminate_last(op, factors, y) is None
-        np.testing.assert_array_equal(_pack(factors), before)
 
     def test_singular_start_ends_stalled_at_the_given_factors(self):
         # G is singular at the start, so the last factor cannot be eliminated
@@ -410,9 +422,9 @@ class TestLmSingle:
             return jacobian_block(*args)
 
         def recorded_eliminate_last(*args):
-            evaluated = eliminate_last(*args)
-            events.append(("point", evaluated))
-            return evaluated
+            point = eliminate_last(*args)
+            events.append(("point", point))
+            return point
 
         def recorded_solve(a, b):
             if b.ndim == 2:
@@ -430,13 +442,29 @@ class TestLmSingle:
         gram, f_current, projections = None, np.inf, 0
         for event in events:
             if event[0] == "point":
-                _, gram_try, r = event[1]
-                if float(r @ r) < f_current:
-                    gram, f_current = gram_try, float(r @ r)
+                point = event[1]
+                if point.f < f_current:
+                    gram, f_current = point.gram, point.f
             else:
                 assert event[1] is gram
                 projections += 1
         assert projections == run.iterations
+
+    def test_given_last_factor_does_not_change_the_run(self):
+        # the unknowns are the first N - 1 factors; the last is solved for at
+        # the start, so two starts that differ only there run the same
+        op = create_operator(24, (3, 3, 3), seed=60)
+        y = apply(op, reconstruct(_random_model((3, 3, 3), 2, 63)))
+        start = list(_random_model((3, 3, 3), 2, 64).factors)
+        other = start[:-1] + [np.full_like(start[-1], 7.0)]
+        runs = [recovery._lm_single(s, op, y, max_iters=30, floor=0.0)
+                for s in (start, other)]
+        assert runs[0].iterations >= 2
+        np.testing.assert_array_equal(_pack(runs[1].model.factors),
+                                      _pack(runs[0].model.factors))
+        assert runs[1].trace == runs[0].trace
+        assert (runs[1].iterations, runs[1].status, runs[1].objective) == (
+            runs[0].iterations, runs[0].status, runs[0].objective)
 
     @pytest.mark.parametrize("max_iters, floor, status", [
         (2000, np.inf, STATUS_FLOOR), (1, 0.0, STATUS_MAX_ITERS),
@@ -710,6 +738,21 @@ class TestRecover:
         for measurements in (y, np.full(20, bad)):
             with pytest.raises(ValueError, match="^measurements must be finite"):
                 recover(op, measurements, RecoveryConfig(rank=2))
+        assert runs == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ground_truth_rejected_before_the_solve(self, monkeypatch,
+                                                               bad):
+        runs = []
+        monkeypatch.setattr(recovery, "_lm_single",
+                            lambda *args: runs.append(args))
+        op = create_operator(20, (3, 3, 3), seed=30)
+        truth = np.ones((3, 3, 3))
+        truth[1, 2, 0] = bad
+        for ground_truth in (truth, np.full((3, 3, 3), bad)):
+            with pytest.raises(ValueError, match="^ground_truth must be finite"):
+                recover(op, np.ones(20), RecoveryConfig(rank=2),
+                        ground_truth=ground_truth)
         assert runs == []
 
     @pytest.mark.parametrize("broken", [("solve",), ("solve", "lstsq")])
