@@ -254,7 +254,7 @@ def write_csv(rows: list[ExperimentRow], summary: list[GridSummary],
     rows_path = f"{path_prefix}_rows.csv"
     summary_path = f"{path_prefix}_summary.csv"
     with open(rows_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ROWS_HEADER)
         for r in rows:
             writer.writerow([format_float(r.kappa_tilde), r.m, r.trial_index,
@@ -262,7 +262,7 @@ def write_csv(rows: list[ExperimentRow], summary: list[GridSummary],
                              "true" if r.success else "false", r.iterations,
                              format_float(r.wall_time_seconds)])
     with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
         for s in summary:
             writer.writerow([format_float(s.kappa_tilde), s.m, s.trials,

@@ -259,6 +259,14 @@ class TestCsv:
         assert [int(rec[successes]) for rec in records[1:]] == \
                [s.success_count for s in summary]
 
+    def test_lines_end_with_newline_alone(self, tmp_path):
+        # as every other file the CLI writes, not the csv module's \r\n
+        rows, summary = run_experiment(parse_config(FAST))
+        for path in write_csv(rows, summary, str(tmp_path / "out")):
+            data = open(path, "rb").read()
+            assert b"\r" not in data
+            assert data.endswith(b"\n")
+
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], [], str(tmp_path / "out"))

@@ -33,21 +33,24 @@ def _random_model(dims, rank, seed):
 
 def _fig1_instance(grid_index, trial_index):
     """The Fig. 1 sweep's instance at base seed 1 (8x8x8, F = 3, M = 108,
-    kappa_tilde from (1, 10, 100, 1000)): operator, measurements and the
-    solver seed."""
+    kappa_tilde from (1, 10, 100, 1000)): operator, measurements, the
+    solver seed and the planted tensor."""
     trial_seed = mix(mix(1, grid_index), trial_index)
     model = generate_conditioned_model((8, 8, 8), 3,
                                        (1.0, 10.0, 100.0, 1000.0)[grid_index],
                                        mix(trial_seed, _MODEL_STREAM))
     op = create_operator(108, (8, 8, 8), seed=mix(trial_seed, _OP_STREAM))
-    return op, apply(op, reconstruct(model)), mix(trial_seed, _SOLVER_STREAM)
+    truth = reconstruct(model)
+    return op, apply(op, truth), mix(trial_seed, _SOLVER_STREAM), truth
 
 
 def _plateau_ends(trace):
-    """The trace indices i at which the 20 accepted steps up to step i
-    lowered the objective by less than 1e-7 of it."""
-    return [i for i in range(20, len(trace))
-            if trace[i] > (1.0 - 1e-7) * trace[i - 20]]
+    """The trace indices i at which the `recovery._PLATEAU_STEPS` accepted
+    steps up to step i lowered the objective by less than
+    `recovery._PLATEAU_REL_TOL` of it."""
+    steps, tol = recovery._PLATEAU_STEPS, recovery._PLATEAU_REL_TOL
+    return [i for i in range(steps, len(trace))
+            if trace[i] > (1.0 - tol) * trace[i - steps]]
 
 
 class TestObjective:
@@ -491,8 +494,9 @@ class TestLmSingle:
     def test_flat_run_ends_converged_on_the_plateau_test(self):
         # the Fig. 1 kappa_tilde = 1, trial 11 random start of restart 0: it
         # holds the objective near 0.1048 ||y||^2, and without the plateau
-        # test it runs on to step 244, where its steps become negligible
-        op, y, seed = _fig1_instance(0, 11)
+        # test it runs on to step 244, where its steps become negligible;
+        # the test ends it at step 73
+        op, y, seed, _ = _fig1_instance(0, 11)
         runs = []
         for c in (1.0, 1e3):
             y_c = c * y
@@ -504,12 +508,14 @@ class TestLmSingle:
             assert run.iterations < 500
             assert run.objective == pytest.approx(0.1048 * float(y_c @ y_c),
                                                   rel=1e-3)
-            # the last 21 values meet the rule and no earlier window does
+            # the last 11 values (steps 62-73) meet the rule and no earlier
+            # window does
             assert _plateau_ends(run.trace) == [run.iterations]
             runs.append((start, run))
         # the 1e3 run differs from the first by rounding, which can move
-        # the step at which a window first falls below 1e-7; scaled by
-        # powers of two, every value scales exactly and so must the run
+        # the step at which a window first falls below the tolerance;
+        # scaled by powers of two, every value scales exactly and so must
+        # the run
         start, run = runs[0]
         scaled = recovery._lm_single([2.0 ** 10 * a for a in start], op,
                                      2.0 ** 30 * y, max_iters=500,
@@ -520,12 +526,25 @@ class TestLmSingle:
     def test_plateau_test_leaves_a_run_that_reaches_the_floor(self):
         # the Fig. 1 kappa_tilde = 1000, trial 0 winner, restart 0, stage 1:
         # 90 steps to the floor, as without the plateau test
-        op, y, seed = _fig1_instance(3, 0)
+        op, y, seed, _ = _fig1_instance(3, 0)
         report = recover(op, y, RecoveryConfig(rank=3, seed=seed))
         assert (report.restart_index, report.stage_index) == (0, 1)
         assert report.status == STATUS_FLOOR
         assert len(report.objective_trace) == 91
         assert _plateau_ends(report.objective_trace) == []
+
+    def test_slow_random_start_ends_and_a_ladder_stage_recovers(self):
+        # the Fig. 1 kappa_tilde = 100, trial 18 instance: without the
+        # plateau test its restart-0 random start reaches the floor after
+        # 478 steps, on the way lowering the objective by only 6.1e-8 of it
+        # over steps 243-253; the test ends that run at step 112, and
+        # restart 0's first ladder stage recovers the tensor
+        op, y, seed, truth = _fig1_instance(2, 18)
+        report = recover(op, y, RecoveryConfig(rank=3, seed=seed),
+                         ground_truth=truth)
+        assert (report.restart_index, report.stage_index) == (0, 1)
+        assert report.status == STATUS_FLOOR
+        assert report.mse < 1e-12
 
     def test_run_ends_at_the_first_step_at_or_below_the_floor(self):
         truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 1.0, 0))
@@ -849,7 +868,7 @@ class TestScaleEquivariance:
         # the Fig. 1 kappa_tilde = 1, trial 0 instance at base seed 1.  No
         # start carries the scale of y outside the eliminated last factor,
         # and scaling by 2^k is exact, so every run scales exactly
-        op, y, seed = _fig1_instance(0, 0)
+        op, y, seed, _ = _fig1_instance(0, 0)
         config = RecoveryConfig(rank=3, seed=seed)
         base = recover(op, y, config)
         scaled = recover(op, 2.0 ** k * y, config)
