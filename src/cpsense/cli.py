@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import conditioning, experiment, io_text, sensing, theory_bounds
@@ -112,8 +113,20 @@ def _print_progress(row) -> None:
           file=sys.stderr)
 
 
+def _check_output_directory(flag: str, path: str) -> None:
+    """Reject an output path in a directory that does not exist, so that a
+    sweep fails before its first trial rather than after its last."""
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise FileNotFoundError(
+            f"{flag} {path}: directory {directory} does not exist")
+
+
 def _cmd_experiment(args) -> int:
     config = experiment.load_config(args.config)
+    _check_output_directory("--out", args.out)
+    if args.plot_script:
+        _check_output_directory("--plot-script", args.plot_script)
     rows, summary = experiment.run_experiment(config, _print_progress)
     rows_path, summary_path = experiment.write_csv(rows, summary, args.out)
     for s in summary:

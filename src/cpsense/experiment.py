@@ -83,7 +83,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", check_shape(self.dims))
-        object.__setattr__(self, "kappa_grid", tuple(float(k) for k in self.kappa_grid))
+        # a str or bytes grid would be read one character at a time, and a
+        # bool would be taken as kappa_tilde = 0 or 1
+        if isinstance(self.kappa_grid, (str, bytes)):
+            raise ValueError("kappa_grid must be a sequence of numbers, "
+                             f"got {self.kappa_grid!r}")
+        grid = tuple(self.kappa_grid)
+        if any(isinstance(k, bool) for k in grid):
+            raise ValueError(f"kappa_grid value must be a number, not a bool: {grid}")
+        object.__setattr__(self, "kappa_grid", tuple(float(k) for k in grid))
         # every setting is checked by the rule of the code that uses it, so a
         # bad sweep fails here and not after some of its trials have run
         self.solver(seed=0)

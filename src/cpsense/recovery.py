@@ -1,22 +1,44 @@
 """Rank-constrained recovery by damped Gauss-Newton on the factor parameterization.
 
-A run's unknowns theta are the first N - 1 factors (below), stacked mode by
-mode, each I_n x F factor in C order: A_n(i, f) sits at offset_n + i * F + f,
-the order `vec` uses for a tensor.
+Every LM run is a variable projection run (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 1973).  The model is linear in each factor: Phi vec(X) =
+-B_N vec(A_N), with B_N the last Jacobian block, which depends on the other
+N - 1 factors only.  So a run's unknowns theta are the first N - 1 factors,
+and at every point it evaluates, the run eliminates the last factor: it
+solves A_N = -G^-1 B_N^T y, G = B_N^T B_N, with one `np.linalg.solve`, and
+scores the point as ||y + B_N vec(A_N)||^2.  Each step solves the damped
+normal equations of Kaufman's projected Jacobian (BIT 15, 1975),
+J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}]: 48 unknowns at the paper's
+8 x 8 x 8, F = 3, against 72 for all factors.  An evaluated point computes
+B_N and G once, and the step from it reuses them.  A run builds one
+`CpModel`, when it ends.  The last factor has I_N F entries, so `recover`
+rejects M < I_N F, where G is singular.
 
-Each restart escalates through several starting points until a rank-F run
-drives the objective ||y - Phi vec(X)||^2 to the floor 1e-11 * ||y||^2:
+theta is packed mode by mode, each I_n x F factor in C order: A_n(i, f)
+sits at offset_n + i * F + f, the order `vec` uses for a tensor.  So
+Jacobian block n is one (M I_n) x (J / I_n) x F matrix product, J the
+product of the I_n: the mode-n unfolding of Phi times the Khatri-Rao
+product of the other factors, reshaped with no transposed copy.
 
-1. i.i.d. standard normal factors;
+A start is a theta.  Each restart escalates through several until a rank-F
+run drives the objective ||y - Phi vec(X)||^2 to the floor
+1e-11 * ||y||^2:
+
+1. i.i.d. standard normal factors, not rescaled;
 2. over-parameterized warm starts (up to three, from independent seeds):
    fit the backprojection Phi^T y with a rank-(F+1) model by dense ALS,
-   scale the columns of its first N - 1 factors to unit norm and move the
-   norms into the last, refine it against the measurements, drop the
-   weakest component, and refine again at rank F.
+   keep its first N - 1 factors with their columns scaled to unit norm,
+   refine them against the measurements, drop the weakest component, and
+   refine again at rank F.
 
 The warm starts exist because random initialization alone frequently lands
 in spurious stationary points when the measurement count is close to the
 parameter count and the rank-one components have comparable weights.
+
+A start at which the last factor cannot be eliminated (the solve raises or
+gives a non-finite factor) yields no run.  `recover` skips its (restart,
+stage) slot, as it skips a ladder stage whose ALS fit raises, and raises
+`LinAlgError` only when no slot yields a run.
 
 Every LM run, rank-F runs and rank-(F+1) ladder fits alike, checks the floor
 at its start and after each accepted step and ends there with status
@@ -26,25 +48,13 @@ it (a plateau; Madsen, Nielsen & Tingleff stop on such slow progress).  The
 plateau test is a search budget, not a stop with a margin: it can end a run
 that would reach the floor much later, and the search then moves on to the
 next start.
-No start puts the scale of y into the first N - 1 factors; the last factor,
-which carries it, is solved for (below); the floor, the plateau test and the
-damping D = diag(J^T J) are relative.  So recover(op, c * y) runs the same
-search for every c > 0 up to rounding, and bit for bit for c a power of two:
-the last factor times c and every objective times c^2.
 
-Every LM run is a variable projection run (Golub & Pereyra, SIAM J.
-Numer. Anal. 10, 1973).  The model is linear in each factor: Phi vec(X) =
--B_N vec(A_N), with B_N the last Jacobian block, which depends on the other
-N - 1 factors only.  So at every point it evaluates, the run eliminates the
-last factor: it solves A_N = -G^-1 B_N^T y, G = B_N^T B_N, by least squares
-and scores the point as ||y + B_N vec(A_N)||^2.  Its unknowns are theta, the
-first N - 1 factors, and each step solves the damped normal equations of
-Kaufman's projected Jacobian (BIT 15, 1975),
-J = (I - B_N G^-1 B_N^T) [B_1 ... B_{N-1}]: 48 unknowns at the paper's
-8 x 8 x 8, F = 3, against 72 for all factors.  The given last factor is used
-only to score a start whose elimination fails, the one time a run applies
-Phi.  A run builds one `CpModel`, when it ends.  The last factor has I_N F
-entries, so `recover` rejects M < I_N F, where G is singular.
+No start puts the scale of y into theta; the last factor, which carries it,
+is solved for; the floor, the plateau test and the damping D = diag(J^T J)
+are relative.  So recover(op, c * y) runs the same search for every c > 0
+up to rounding, and bit for bit for c a power of two, short of overflow:
+the same theta at every point, the last factor times c and every objective
+times c^2.
 """
 
 from __future__ import annotations
@@ -86,8 +96,9 @@ _ALS_INIT_SWEEPS = 30
 # lowered the objective by less than _PLATEAU_REL_TOL of it.  This is a
 # search budget, not a margin-protected stop.  On the Fig. 1 criterion-1
 # sweep at base seeds 1, 3, 5 and 7 it ends two random starts that would
-# reach the floor after 478 and 293 steps (base seeds 1 and 5), and restart
-# 0's first ladder stage recovers both trials; the flattest 10-step window
+# reach the floor after 478 and 293 steps (base seed 1, kappa_tilde = 100,
+# trial 18; base seed 5, kappa_tilde = 1000, trial 3), and restart 0's
+# first ladder stage recovers both trials; the flattest 10-step window
 # of a rank-F run that reached the floor lowered the objective by 2.4e-4 of
 # it.  Against 20 steps under 1e-7, the sweep runs 15-25 % fewer LM
 # iterations with the same success counts; at 1e-3 an M = 80 trial is lost
@@ -258,17 +269,17 @@ def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
     return CpModel(tuple(_factor_views(x, dims, rank)))
 
 
-def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
-               max_iters: int, floor: float) -> LmRun:
-    """One damped Gauss-Newton run from the given factors, at their rank, by
-    variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+def _lm_single(thetas, op: SensingOperator, y: np.ndarray,
+               max_iters: int, floor: float) -> LmRun | None:
+    """One damped Gauss-Newton run from the first N - 1 factors ``thetas``,
+    at their rank, by variable projection; None if the last factor cannot
+    be eliminated at the start.
 
-    The unknowns theta are the first N - 1 factors; the iterate is a
-    `_Point`.  At every evaluated point the last factor is eliminated:
-    `_eliminate_last` solves for it by least squares, so the objective is
+    The iterate is a `_Point`.  At every evaluated point `_eliminate_last`
+    solves for the last factor by least squares, so the objective is
     f(theta) = min_a ||y + B_N(theta) a||^2.  A step solves the damped normal
-    equations of Kaufman's projected Jacobian (BIT 15, 1975),
-    `_projected_normal_equations`, which has (sum(I_n) - I_N) F unknowns.
+    equations of Kaufman's projected Jacobian, `_projected_normal_equations`,
+    which has (sum(I_n) - I_N) F unknowns.
 
     Each iteration, the start included, first tests the current point: the
     run ends as `floor` if its objective is at most ``floor``, as
@@ -276,28 +287,23 @@ def _lm_single(factors0, op: SensingOperator, y: np.ndarray,
     by less than 1e-4 of it (f > (1 - 1e-4) * f_{-10}, with f_{-10} the
     objective 10 accepted steps back; a product, not a ratio, so it is safe
     at f = 0 and free of the scale of y), and as `max_iters` after
-    ``max_iters`` steps.  The given last factor is used only if the start's
-    elimination fails: the run then ends at the given factors after 0
-    iterations, scored by `objective` (its one use of Phi): `floor` if that
-    is at most ``floor``, else `stalled`.
+    ``max_iters`` steps.
 
     The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
     Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
     sec. 3.2): an accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3),
     where rho is the measured decrease over the decrease the linear model
     predicts, and resets nu to 2; a rejected try, or one whose elimination
-    fails, scales mu by nu and doubles nu.  A step so small that
-    theta - delta rounds back to theta ends the run as stalled.
+    fails, scales mu by nu and doubles nu.  A step no longer than
+    eps ||theta||, eps the float64 machine epsilon, rounds theta - delta back
+    to theta and ends the run as stalled, as do 50 rejected tries in a row.
 
     ``y`` is taken as checked.  The one `CpModel` is built when the run ends.
     """
-    rank = factors0[0].shape[1]
-    point = _eliminate_last(op, _pack(factors0[:-1]), rank, y)
+    rank = thetas[0].shape[1]
+    point = _eliminate_last(op, _pack(thetas), rank, y)
     if point is None:
-        model = _unpack(_pack(factors0), op.shape, rank)
-        f_val = objective(model, op, y)
-        return LmRun(model, f_val, [f_val], 0,
-                     STATUS_FLOOR if f_val <= floor else STATUS_STALLED)
+        return None
 
     trace = [point.f]
     mu = _DAMPING_INIT
@@ -397,8 +403,10 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
 
     The (restart, stage) pairs run in order until a rank-F run reaches the
     numerical floor; the lowest final objective wins (ties: the first run).
-    A ladder stage whose ALS fit raises `LinAlgError` is skipped; the random
-    start always runs, so there is always a run to pick from.
+    A slot is skipped when its ladder stage's ALS fit raises `LinAlgError`
+    or when its ladder fit or rank-F run cannot eliminate the last factor at
+    its start; the iterations of a ladder fit that ran still count.  When
+    every slot is skipped, `recover` raises `LinAlgError`.
     """
     y = check_measurements(op, y)
     if not np.all(np.isfinite(y)):
@@ -416,30 +424,37 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
     for k, stage in product(range(config.restarts), range(1 + _N_LADDER_STAGES)):
         rng = np.random.default_rng(mix(mix(config.seed, k), stage))
         if stage == 0:
-            factors = [rng.standard_normal((d, config.rank)) for d in op.shape]
+            thetas = [rng.standard_normal((d, config.rank)) for d in op.shape[:-1]]
         else:
             # over-parameterized warm start: the rank-(F+1) fit of the
             # backprojection Phi^T y, refined, then truncated to rank F
             try:
-                factors = _dense_cp_als(backprojection, config.rank + 1, rng)
+                thetas = _dense_cp_als(backprojection, config.rank + 1, rng)[:-1]
             except np.linalg.LinAlgError:  # the ALS lstsq did not converge
                 continue
-            # unit columns in the first N - 1 factors, the norms moved into
-            # the last, which carries the scale of y; a zero column stays
-            for a in factors[:-1]:
+            # unit columns, free of the scale of y; a zero column stays
+            for a in thetas:
                 norms = np.linalg.norm(a, axis=0)
                 norms[norms == 0.0] = 1.0
                 a /= norms
-                factors[-1] *= norms
-            ladder = _lm_single(factors, op, y, config.max_iters, floor)
-            factors = _truncate(ladder.model.factors, config.rank)
+            ladder = _lm_single(thetas, op, y, config.max_iters, floor)
+            if ladder is None:
+                continue
             iterations += ladder.iterations
-        run = _lm_single(factors, op, y, config.max_iters, floor)
+            thetas = _truncate(ladder.model.factors, config.rank)[:-1]
+        run = _lm_single(thetas, op, y, config.max_iters, floor)
+        if run is None:
+            continue
         iterations += run.iterations
         runs.append(_StartRun(k, stage, run))
         if run.objective <= floor:
             break
 
+    if not runs:
+        raise np.linalg.LinAlgError(
+            f"no start of {config.restarts} restarts could be evaluated: at "
+            f"every one the solve for the last factor failed or gave a "
+            f"non-finite factor, or the ladder's ALS fit did not converge")
     won = min(runs, key=lambda s: s.run.objective)
     return RecoveryReport(
         model=won.run.model, objective=won.run.objective,

@@ -137,6 +137,13 @@ class TestConfigValidation:
         # the second grid point's M is below I_N * F = 4 * 3, the unknowns
         # of the last factor's least-squares problem
         ({"m": (40, 11)}, r"M = 11 measurements is below I_N \* F = 12"),
+        # a str or bytes grid is not read one character at a time, and a
+        # bool is not taken as kappa_tilde = 1
+        ({"kappa_grid": "25"}, "^kappa_grid must be a sequence of numbers, got '25'"),
+        ({"kappa_grid": "10"}, "^kappa_grid must be a sequence of numbers, got '10'"),
+        ({"kappa_grid": b"1"}, "^kappa_grid must be a sequence of numbers, got b'1'"),
+        ({"kappa_grid": (1, True)},
+         r"^kappa_grid value must be a number, not a bool: \(1, True\)"),
     ])
     def test_bad_config_rejected(self, changes, message):
         fields = {"dims": (4, 4, 4), "rank": 3, "kappa_grid": (1.0, 10.0)}
@@ -172,6 +179,24 @@ class TestConfigValidation:
             capsys.readouterr().err
         assert not (tmp_path / "run_rows.csv").exists()
         assert calls == []
+
+    @pytest.mark.parametrize("flag, path", [("--out", "missing/run"),
+                                            ("--plot-script", "missing/plot.gp")])
+    def test_missing_output_directory_runs_no_trial(self, monkeypatch, tmp_path,
+                                                    capsys, flag, path):
+        calls = []
+        monkeypatch.setattr(experiment, "run_trial",
+                            lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.cfg").write_text(FAST)
+        argv = ["experiment", "--config", "sweep.cfg", "--out", "run",
+                "--plot-script", "plot.gp"]
+        argv[argv.index(flag) + 1] = path
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} {path}: directory missing does not exist\n")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "sweep.cfg"]
 
     def test_fault_in_recovery_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -20,7 +20,7 @@ from cpsense.recovery import (
     _unpack,
 )
 from cpsense.seeding import mix
-from cpsense.sensing import adjoint_apply, apply, create_operator
+from cpsense.sensing import RADEMACHER, adjoint_apply, apply, create_operator
 from cpsense.conditioning import generate_conditioned_model
 from cpsense.theory_bounds import rip_probe
 from cpsense.tensor_core import CpModel, DimensionMismatch, mse, reconstruct
@@ -256,7 +256,7 @@ class TestLmSingle:
         op = create_operator(24, (3, 3, 3), seed=10)
         y = apply(op, truth)
         rng = np.random.default_rng(0)
-        start = [rng.standard_normal((3, 2)) for _ in range(3)]
+        start = [rng.standard_normal((3, 2)) for _ in range(2)]
         damped_finite, evaluated = [], []
         solve = np.linalg.solve
         eliminate_last = recovery._eliminate_last
@@ -302,7 +302,7 @@ class TestLmSingle:
         rank = 2
         op = create_operator(2 * sum(dims) * rank, dims, seed=50)
         y = apply(op, reconstruct(_random_model(dims, rank, 51)))
-        start = list(_random_model(dims, rank, 52).factors)
+        start = _random_model(dims, rank, 52).factors[:-1]
         size = (sum(dims) - dims[-1]) * rank
         events = []
         solve = np.linalg.solve
@@ -364,21 +364,29 @@ class TestLmSingle:
         np.testing.assert_array_equal(_pack(run.model.factors),
                                       _pack(current[0].factors))
 
-    def test_singular_start_ends_stalled_at_the_given_factors(self):
-        # G is singular at the start, so the last factor cannot be eliminated
+    def test_singular_start_gives_no_run(self, monkeypatch):
+        # G is singular at the start, so the last factor cannot be
+        # eliminated: no point to test, not even against an infinite floor
         op = create_operator(24, (3, 3, 3), seed=60)
         y = apply(op, reconstruct(_random_model((3, 3, 3), 2, 63)))
-        start = list(_random_model((3, 3, 3), 2, 64).factors)
+        start = _random_model((3, 3, 3), 2, 64).factors[:-1]
         start[1][:, 0] = 0.0
-        run = recovery._lm_single(start, op, y, max_iters=50, floor=0.0)
-        assert (run.status, run.iterations) == (STATUS_STALLED, 0)
-        assert run.trace == [objective(CpModel(tuple(start)), op, y)]
-        np.testing.assert_array_equal(_pack(run.model.factors), _pack(start))
+        evaluations = []
+        eliminate_last = recovery._eliminate_last
+
+        def counted(*args):
+            evaluations.append(eliminate_last(*args))
+            return evaluations[-1]
+
+        monkeypatch.setattr(recovery, "_eliminate_last", counted)
+        assert recovery._lm_single(start, op, y, max_iters=50,
+                                   floor=np.inf) is None
+        assert evaluations == [None]
 
     def test_failed_try_elimination_raises_the_damping(self, monkeypatch):
         op = create_operator(24, (3, 3, 3), seed=60)
         y = apply(op, reconstruct(_random_model((3, 3, 3), 2, 63)))
-        start = list(_random_model((3, 3, 3), 2, 64).factors)
+        start = _random_model((3, 3, 3), 2, 64).factors[:-1]
         size = 2 * 3 * 2
         damped = []
         solve = np.linalg.solve
@@ -414,7 +422,7 @@ class TestLmSingle:
         rank = 2
         op = create_operator(2 * sum(dims) * rank, dims, seed=50)
         y = apply(op, reconstruct(_random_model(dims, rank, 51)))
-        start = list(_random_model(dims, rank, 52).factors)
+        start = _random_model(dims, rank, 52).factors[:-1]
         blocks, events = [], []
         jacobian_block = recovery._jacobian_block
         eliminate_last = recovery._eliminate_last
@@ -453,22 +461,6 @@ class TestLmSingle:
                 projections += 1
         assert projections == run.iterations
 
-    def test_given_last_factor_does_not_change_the_run(self):
-        # the unknowns are the first N - 1 factors; the last is solved for at
-        # the start, so two starts that differ only there run the same
-        op = create_operator(24, (3, 3, 3), seed=60)
-        y = apply(op, reconstruct(_random_model((3, 3, 3), 2, 63)))
-        start = list(_random_model((3, 3, 3), 2, 64).factors)
-        other = start[:-1] + [np.full_like(start[-1], 7.0)]
-        runs = [recovery._lm_single(s, op, y, max_iters=30, floor=0.0)
-                for s in (start, other)]
-        assert runs[0].iterations >= 2
-        np.testing.assert_array_equal(_pack(runs[1].model.factors),
-                                      _pack(runs[0].model.factors))
-        assert runs[1].trace == runs[0].trace
-        assert (runs[1].iterations, runs[1].status, runs[1].objective) == (
-            runs[0].iterations, runs[0].status, runs[0].objective)
-
     @pytest.mark.parametrize("max_iters, floor, status", [
         (2000, np.inf, STATUS_FLOOR), (1, 0.0, STATUS_MAX_ITERS),
         (5, 0.0, STATUS_MAX_ITERS), (2000, 0.0, STATUS_STALLED)])
@@ -478,7 +470,7 @@ class TestLmSingle:
         op = create_operator(24, (3, 3, 3), seed=10)
         y = apply(op, truth)
         rng = np.random.default_rng(0)
-        start = [rng.standard_normal((3, 2)) for _ in range(3)]
+        start = [rng.standard_normal((3, 2)) for _ in range(2)]
         builds = []
         post_init = CpModel.__post_init__
 
@@ -501,7 +493,7 @@ class TestLmSingle:
         for c in (1.0, 1e3):
             y_c = c * y
             rng = np.random.default_rng(mix(mix(seed, 0), 0))
-            start = [rng.standard_normal((8, 3)) for _ in range(3)]
+            start = [rng.standard_normal((8, 3)) for _ in range(2)]
             run = recovery._lm_single(start, op, y_c, max_iters=500,
                                       floor=1e-11 * float(y_c @ y_c))
             assert run.status == STATUS_CONVERGED
@@ -551,7 +543,7 @@ class TestLmSingle:
         op = create_operator(24, (3, 3, 3), seed=10)
         y = apply(op, truth)
         rng = np.random.default_rng(0)
-        start = [rng.standard_normal((3, 2)) for _ in range(3)]
+        start = [rng.standard_normal((3, 2)) for _ in range(2)]
         floor = 1e-6 * float(y @ y)
         run = recovery._lm_single(start, op, y, max_iters=2000, floor=floor)
         assert run.status == STATUS_FLOOR
@@ -575,6 +567,19 @@ class TestRecover:
                          ground_truth=truth)
         assert report.mse is not None and report.mse < 1e-10
         assert report.status == STATUS_FLOOR
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_rademacher_operator_recovers(self, i):
+        # the recovery claim covers subgaussian Phi, not only Gaussian: the
+        # Fig. 1 size with +-sqrt(1/M) entries
+        truth = reconstruct(generate_conditioned_model((8, 8, 8), 3, 10.0,
+                                                       100 + i))
+        op = create_operator(108, (8, 8, 8), RADEMACHER, seed=200 + i)
+        report = recover(op, apply(op, truth),
+                         RecoveryConfig(rank=3, seed=300 + i),
+                         ground_truth=truth)
+        assert report.status == STATUS_FLOOR
+        assert report.mse < 1e-10
 
     def test_trace_is_decreasing_and_ends_at_objective(self):
         truth_model = generate_conditioned_model((3, 3, 3), 2, 2.0, 18)
@@ -775,7 +780,7 @@ class TestRecover:
         assert runs == []
 
     @pytest.mark.parametrize("broken", [("solve",), ("solve", "lstsq")])
-    def test_singular_solves_end_stalled(self, monkeypatch, broken):
+    def test_singular_solves_raise(self, monkeypatch, broken):
         def raise_singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
@@ -784,11 +789,12 @@ class TestRecover:
         truth = reconstruct(generate_conditioned_model((3, 3, 3), 2, 1.0, 31))
         op = create_operator(24, (3, 3, 3), seed=32)
         y = apply(op, truth)
-        report = recover(op, y, RecoveryConfig(rank=2, restarts=2, seed=33))
-        assert report.status == STATUS_STALLED
-        # every run's start fails to eliminate the last factor
-        assert report.iterations == 0
-        assert report.objective_trace == [report.objective]
+        # every start fails to eliminate the last factor, or its ladder
+        # stage's ALS fit raises: no slot yields a run
+        with pytest.raises(np.linalg.LinAlgError, match=(
+                "^no start of 2 restarts could be evaluated: at every one the "
+                "solve for the last factor failed")):
+            recover(op, y, RecoveryConfig(rank=2, restarts=2, seed=33))
 
     @pytest.mark.parametrize("shape, rank, m", [((3, 3, 8), 2, 12),
                                                 ((4, 5), 3, 14)])
@@ -891,15 +897,18 @@ class TestStartSchedule:
     On 3x3x3 with F = 2 and restarts = 2 the schedule is, per restart, the
     random start and three ladder stages, each ladder stage a rank-3 fit
     followed by a rank-2 run.  The n-th rank-2 run takes n iterations and
-    ends at the n-th scripted objective; the j-th ladder fit takes 1000 * j.
-    With y = 1, the floor is 1e-11 * ||y||^2 = 2e-10.
+    ends at the n-th scripted objective, or yields no run where that is
+    None; the j-th ladder fit takes 1000 * j.  A run's model is its start
+    with a zero last factor.  With y = 1, the floor is
+    1e-11 * ||y||^2 = 2e-10.
     """
 
     def _recover(self, monkeypatch, objectives):
         calls, runs = [], []
 
-        def scripted(factors0, op, y, max_iters, floor):
-            model = CpModel(tuple(factors0))
+        def scripted(thetas, op, y, max_iters, floor):
+            assert len(thetas) == 2
+            model = CpModel((*thetas, np.zeros((3, thetas[0].shape[1]))))
             if model.rank == 3:
                 calls.append("ladder")
                 return recovery.LmRun(model, 1.0, [1.0],
@@ -908,6 +917,8 @@ class TestStartSchedule:
             calls.append("run")
             n = calls.count("run")
             f = objectives[n - 1]
+            if f is None:
+                return None
             runs.append(recovery.LmRun(model, f, [f], n, STATUS_CONVERGED))
             return runs[-1]
 
@@ -938,3 +949,21 @@ class TestStartSchedule:
         assert (report.restart_index, report.stage_index) == (1, 1)
         assert report.model is runs[5].model
         assert report.iterations == sum(range(1, 7)) + 1000 * sum(range(1, 5))
+
+    def test_start_without_a_run_is_skipped(self, monkeypatch):
+        # restart 0's random start yields no run; its first ladder stage
+        # runs next and wins at the floor
+        report, calls, runs = self._recover(monkeypatch, [None, 1e-13])
+        assert calls == ["run", "ladder", "run"]
+        assert (report.restart_index, report.stage_index) == (0, 1)
+        assert report.model is runs[0].model and report.status == STATUS_CONVERGED
+        assert report.iterations == 2 + 1000
+
+    def test_ladder_fit_counts_when_its_run_yields_none(self, monkeypatch):
+        # restart 0's first ladder stage: the rank-3 fit runs, its rank-2
+        # run yields no run; the next stage wins at the floor
+        report, calls, runs = self._recover(monkeypatch, [5.0, None, 1e-13])
+        assert calls == ["run", "ladder", "run", "ladder", "run"]
+        assert (report.restart_index, report.stage_index) == (0, 2)
+        assert report.model is runs[1].model
+        assert report.iterations == 1 + 3 + 1000 + 2000
