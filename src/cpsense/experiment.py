@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import statistics
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,14 @@ SUMMARY_HEADER = ["kappa_tilde", "m", "trials", "successes", "success_rate",
                   "median_mse", "mean_iterations"]
 
 
+def _as_tuple(name: str, value) -> tuple:
+    """A list setting as a tuple.  A bare number is refused, and so is a str
+    or bytes, which would be read one character at a time."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a sequence of numbers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dims: tuple[int, ...]
@@ -83,14 +93,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", check_shape(self.dims))
-        # a str or bytes grid would be read one character at a time, and a
-        # bool would be taken as kappa_tilde = 0 or 1
-        if isinstance(self.kappa_grid, (str, bytes)):
-            raise ValueError("kappa_grid must be a sequence of numbers, "
-                             f"got {self.kappa_grid!r}")
-        grid = tuple(self.kappa_grid)
-        if any(isinstance(k, bool) for k in grid):
-            raise ValueError(f"kappa_grid value must be a number, not a bool: {grid}")
+        grid = _as_tuple("kappa_grid", self.kappa_grid)
+        # a bool would be taken as kappa_tilde = 0 or 1, a str through float
+        for k in grid:
+            if isinstance(k, bool) or not isinstance(k, numbers.Real):
+                raise ValueError(f"kappa_grid value must be a number, not a "
+                                 f"{type(k).__name__}: {grid}")
         object.__setattr__(self, "kappa_grid", tuple(float(k) for k in grid))
         # every setting is checked by the rule of the code that uses it, so a
         # bad sweep fails here and not after some of its trials have run
@@ -108,12 +116,13 @@ class ExperimentConfig:
         check_count("base_seed", self.base_seed, low=-math.inf)
         check_positive("success_mse_threshold", self.success_mse_threshold)
         if self.m is not None:
-            if len(self.m) not in (1, len(self.kappa_grid)):
+            m = _as_tuple("explicit m", self.m)
+            if len(m) not in (1, len(self.kappa_grid)):
                 raise ValueError(
                     "explicit m list must have 1 entry or one per grid point")
-            for v in self.m:
+            for v in m:
                 check_count("explicit m", v)
-            object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+            object.__setattr__(self, "m", tuple(int(v) for v in m))
         for i in range(len(self.kappa_grid)):
             check_operator_size(self.m_for(i), self.dims)
             check_measurement_count(self.m_for(i), self.dims, self.rank)

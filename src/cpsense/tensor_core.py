@@ -35,7 +35,10 @@ def check_shape(dims) -> tuple[int, ...]:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Reject a scale that is not a positive finite number (NaN included)."""
+    """Reject a scale that is not a positive finite number (NaN included); a
+    str or a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
 

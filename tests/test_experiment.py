@@ -144,6 +144,17 @@ class TestConfigValidation:
         ({"kappa_grid": b"1"}, "^kappa_grid must be a sequence of numbers, got b'1'"),
         ({"kappa_grid": (1, True)},
          r"^kappa_grid value must be a number, not a bool: \(1, True\)"),
+        # a str is not a number, though float would read it; a bare number
+        # is not a list
+        ({"kappa_grid": ("1", "1e1")},
+         r"^kappa_grid value must be a number, not a str: \('1', '1e1'\)"),
+        ({"alpha": "2"}, "^alpha must be a number, got '2'$"),
+        ({"success_mse_threshold": "1e-10"},
+         "^success_mse_threshold must be a number, got '1e-10'$"),
+        ({"alpha": True}, "^alpha must be a number, got True$"),
+        ({"m": 40}, "^explicit m must be a sequence of numbers, got 40$"),
+        ({"m": "40"}, "^explicit m must be a sequence of numbers, got '40'$"),
+        ({"m": ("40",)}, "^explicit m must be an integer, got 40$"),
     ])
     def test_bad_config_rejected(self, changes, message):
         fields = {"dims": (4, 4, 4), "rank": 3, "kappa_grid": (1.0, 10.0)}

@@ -1,3 +1,4 @@
+import math
 import string
 
 import numpy as np
@@ -900,15 +901,29 @@ class TestStartSchedule:
     ends at the n-th scripted objective, or yields no run where that is
     None; the j-th ladder fit takes 1000 * j.  A run's model is its start
     with a zero last factor.  With y = 1, the floor is
-    1e-11 * ||y||^2 = 2e-10.
+    1e-11 * ||y||^2 = 2e-10 and the suspend level 0.03 * ||y||^2 = 0.6.  A
+    run listed in ``at_step_10`` has that objective after 10 steps and is
+    suspended there if it is above the level it is given; resumed, it
+    takes n more iterations.
     """
 
-    def _recover(self, monkeypatch, objectives):
-        calls, runs = [], []
+    LEVEL = 0.03 * 20
 
-        def scripted(thetas, op, y, max_iters, floor):
-            assert len(thetas) == 2
-            model = CpModel((*thetas, np.zeros((3, thetas[0].shape[1]))))
+    def _recover(self, monkeypatch, objectives, at_step_10=None):
+        at_step_10 = at_step_10 or {}
+        calls, runs, levels = [], [], []
+
+        def scripted(start, op, y, max_iters, floor, suspend_above=math.inf):
+            if isinstance(start, recovery._Suspended):
+                calls.append("resume")
+                n = start.steps  # the scripted run's number
+                f = objectives[n - 1]
+                runs.append(recovery.LmRun(models[n], f, [f], 10 + n,
+                                           STATUS_CONVERGED))
+                return runs[-1]
+            levels.append(suspend_above)
+            assert len(start) == 2
+            model = CpModel((*start, np.zeros((3, start[0].shape[1]))))
             if model.rank == 3:
                 calls.append("ladder")
                 return recovery.LmRun(model, 1.0, [1.0],
@@ -916,16 +931,27 @@ class TestStartSchedule:
                                       STATUS_CONVERGED)
             calls.append("run")
             n = calls.count("run")
+            if at_step_10.get(n, 0.0) > suspend_above:
+                models[n] = model
+                return recovery._Suspended(n, 10)
             f = objectives[n - 1]
             if f is None:
                 return None
             runs.append(recovery.LmRun(model, f, [f], n, STATUS_CONVERGED))
             return runs[-1]
 
+        models = {}
         monkeypatch.setattr(recovery, "_lm_single", scripted)
         op = create_operator(20, (3, 3, 3), seed=40)
         report = recover(op, np.ones(20),
                          RecoveryConfig(rank=2, restarts=2, seed=41))
+        # the random start of each restart is given the level; ladder fits
+        # and ladder runs are given none, so they never pause
+        random_starts = [i for i, c in enumerate(calls) if c == "run"
+                         and (i == 0 or calls[i - 1] != "ladder")]
+        for i, level in zip([i for i, c in enumerate(calls) if c != "resume"],
+                            levels):
+            assert level == (self.LEVEL if i in random_starts else math.inf)
         return report, calls, runs
 
     def test_first_minimum_wins_and_counts_every_fit(self, monkeypatch):
@@ -967,3 +993,97 @@ class TestStartSchedule:
         assert (report.restart_index, report.stage_index) == (0, 2)
         assert report.model is runs[1].model
         assert report.iterations == 1 + 3 + 1000 + 2000
+
+    def test_suspended_start_runs_after_the_ladder_stages(self, monkeypatch):
+        # restart 0's random start is suspended; stages 1-3 miss the floor,
+        # so it resumes after them, reaches the floor and wins; restart 1
+        # never runs
+        objectives = [1e-13, 5.0, 4.0, 3.0, 0.0]
+        report, calls, runs = self._recover(monkeypatch, objectives,
+                                            at_step_10={1: 1.0})
+        assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
+                         "run", "resume"]
+        assert (report.restart_index, report.stage_index) == (0, 0)
+        assert report.model is runs[-1].model and report.objective == 1e-13
+        # the resumed run's 11 iterations, its first 10 counted once
+        assert report.iterations == 11 + 2 + 3 + 4 + 1000 * (1 + 2 + 3)
+
+    def test_ladder_stage_ran_first_wins_a_tie(self, monkeypatch):
+        # restart 0's resumed start ties its stage 2 above the floor, and
+        # restart 1 finds nothing lower: stage 2 ran first, so it wins
+        objectives = [3.0, 5.0, 3.0, 4.0, 6.0, 7.0, 8.0, 9.0]
+        report, calls, runs = self._recover(monkeypatch, objectives,
+                                            at_step_10={1: 1.0})
+        assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
+                         "run", "resume", "run", "ladder", "run", "ladder",
+                         "run", "ladder", "run"]
+        assert (report.restart_index, report.stage_index) == (0, 2)
+        assert report.model is runs[1].model
+        assert report.iterations == (11 + sum(range(2, 9))
+                                     + 1000 * sum(range(1, 7)))
+
+    def test_winning_ladder_stage_leaves_the_start_suspended(self,
+                                                             monkeypatch):
+        # the suspended start would reach the floor too, but stage 1 does
+        # first; the start's 10 steps still count
+        report, calls, runs = self._recover(monkeypatch, [1e-13, 1e-13],
+                                            at_step_10={1: 1.0})
+        assert calls == ["run", "ladder", "run"]
+        assert (report.restart_index, report.stage_index) == (0, 1)
+        assert report.model is runs[0].model
+        assert report.iterations == 10 + 2 + 1000
+
+    def test_start_below_the_level_keeps_the_order(self, monkeypatch):
+        # at the level or below after 10 steps: the start ends in place, and
+        # the stages keep the order 0, 1, 2, 3
+        for f10 in (self.LEVEL, 0.5):
+            report, calls, runs = self._recover(
+                monkeypatch, [5.0, 4.0, 3.0, 1e-13], at_step_10={1: f10})
+            assert calls == ["run", "ladder", "run", "ladder", "run",
+                             "ladder", "run"]
+            assert (report.restart_index, report.stage_index) == (0, 3)
+            assert report.iterations == 1 + 2 + 3 + 4 + 1000 * (1 + 2 + 3)
+
+    def test_ladder_fits_and_runs_never_pause(self, monkeypatch):
+        # a ladder run above any level after 10 steps runs on: the level it
+        # is given is inf (checked in `_recover`)
+        report, calls, runs = self._recover(
+            monkeypatch, [5.0, 4.0, 3.0, 1e-13],
+            at_step_10={2: 1e300, 3: 1e300, 4: 1e300})
+        assert "resume" not in calls
+        assert (report.restart_index, report.stage_index) == (0, 3)
+
+
+class TestSuspendedRun:
+    def test_resumed_run_is_the_uninterrupted_run(self):
+        # the Fig. 1 kappa_tilde = 1, trial 0 instance at base seed 1: its
+        # random start is above 0.03 ||y||^2 after 10 steps
+        op, y, seed, _ = _fig1_instance(0, 0)
+        rng = np.random.default_rng(mix(mix(seed, 0), 0))
+        start = [rng.standard_normal((8, 3)) for _ in range(2)]
+        yy = float(y @ y)
+        floor, level = 1e-11 * yy, 0.03 * yy
+        whole = recovery._lm_single(start, op, y, 500, floor)
+        paused = recovery._lm_single(start, op, y, 500, floor, level)
+        assert isinstance(paused, recovery._Suspended)
+        assert paused.iterations == recovery._SUSPEND_STEPS == 10
+        resumed = recovery._lm_single(paused, op, y, 500, floor)
+        # it ends `converged` near 0.1 ||y||^2, after 39 steps
+        assert whole.iterations > 10 and resumed.trace[10] > level
+        assert ((resumed.iterations, resumed.status, resumed.objective)
+                == (whole.iterations, whole.status, whole.objective))
+        assert resumed.trace == whole.trace
+        for a, b in zip(resumed.model.factors, whole.model.factors):
+            assert np.array_equal(a, b)
+
+    def test_fig1_trial_wins_at_stage_1_with_its_mse_bits(self):
+        # the instance above: its suspended random start never resumes, and
+        # stage 1 wins as it did when the random start ran first, with the
+        # same mse to the last bit, after 20 LM iterations (49 before)
+        op, y, seed, truth = _fig1_instance(0, 0)
+        report = recover(op, y, RecoveryConfig(rank=3, seed=seed),
+                         ground_truth=truth)
+        assert (report.restart_index, report.stage_index,
+                report.status) == (0, 1, STATUS_FLOOR)
+        assert report.iterations == 20
+        assert report.mse.hex() == "0x1.42d965324f1c4p-57"
