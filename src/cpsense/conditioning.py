@@ -12,6 +12,7 @@ from .tensor_core import (
     CpModel,
     DimensionMismatch,
     check_count,
+    check_number,
     check_seed,
     check_shape,
     frobenius_norm,
@@ -25,7 +26,9 @@ KAPPA_INFINITE = "infinite"
 
 
 def check_kappa(name: str, value: float) -> None:
-    """Reject a condition number (or a bound on one) that is not finite and >= 1."""
+    """Reject a condition number (or a bound on one) that is not a finite
+    number >= 1."""
+    check_number(name, value)
     if not 1.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 1, got {value}")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import statistics
 import time
 from collections.abc import Iterable
@@ -94,11 +93,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "dims", check_shape(self.dims))
         grid = _as_tuple("kappa_grid", self.kappa_grid)
-        # a bool would be taken as kappa_tilde = 0 or 1, a str through float
+        # checked before float reads a str or takes a bool as 0 or 1
         for k in grid:
-            if isinstance(k, bool) or not isinstance(k, numbers.Real):
-                raise ValueError(f"kappa_grid value must be a number, not a "
-                                 f"{type(k).__name__}: {grid}")
+            check_kappa("kappa_grid value", k)
         object.__setattr__(self, "kappa_grid", tuple(float(k) for k in grid))
         # every setting is checked by the rule of the code that uses it, so a
         # bad sweep fails here and not after some of its trials have run
@@ -106,8 +103,6 @@ class ExperimentConfig:
         check_rank_fits(self.dims, self.rank)
         if not self.kappa_grid:
             raise ValueError("kappa grid must be nonempty")
-        for k in self.kappa_grid:
-            check_kappa("kappa_grid value", k)
         if len(set(self.kappa_grid)) != len(self.kappa_grid):
             raise ValueError(f"kappa grid repeats a value: {self.kappa_grid}")
         check_positive("alpha", self.alpha)

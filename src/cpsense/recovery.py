@@ -35,16 +35,14 @@ The warm starts exist because random initialization alone frequently lands
 in spurious stationary points when the measurement count is close to the
 parameter count and the rank-one components have comparable weights.  So a
 random start that has not ended after 10 steps, with its objective then
-above 0.03 ||y||^2, is suspended: it runs on after its restart's three
-ladder stages, from the point, damping, trace and step count where it
-stopped, only if none of them reaches the floor.  Every run is then the run
-it would be without the pause; only the order changes.  The steps of a
-suspended start count in the report whether or not it resumes.
+above 0.03 ||y||^2, ends there as ``abandoned``; the search moves on to its
+restart's ladder stages, and the abandoned run competes for the win like
+any other run.
 
 A start at which the last factor cannot be eliminated (the solve raises or
-gives a non-finite factor) yields no run.  `recover` skips its (restart,
+returns a non-finite factor) gives no run.  `recover` skips its (restart,
 stage) slot, as it skips a ladder stage whose ALS fit raises, and raises
-`LinAlgError` only when no slot yields a run.
+`LinAlgError` only when no slot gives a run.
 
 Every LM run, rank-F runs and rank-(F+1) ladder fits alike, checks the floor
 at its start and after each accepted step and ends there with status
@@ -66,8 +64,8 @@ times c^2.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -87,6 +85,7 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_STALLED = "stalled"
 STATUS_FLOOR = "floor"
+STATUS_ABANDONED = "abandoned"
 
 _MAX_DAMPING_RETRIES = 50
 _DIAG_FLOOR = 1e-12
@@ -110,16 +109,16 @@ _ALS_INIT_SWEEPS = 30
 # iterations with the same success counts; at 1e-3 an M = 80 trial is lost
 _PLATEAU_STEPS = 10
 _PLATEAU_REL_TOL = 1e-4
-# a random start that has not ended after _SUSPEND_STEPS steps, with its
-# objective then above _SUSPEND_REL * ||y||^2, is suspended and resumed
-# after its restart's ladder stages, only if none of them reaches the
-# floor.  On Fig. 1 most such starts end `converged` near 0.1 ||y||^2, yet
-# no level at any step 5-30 tells them from starts that reach the floor,
-# so the start is put back, not ended.  At (5, 0.03) three fig1-easy
-# winners change; at (10, 0.01) 4-10 criterion-1 rows per base seed move;
-# at (10, 0.1) a fig1-easy pass runs 795 LM iterations, against 663
-_SUSPEND_STEPS = 10
-_SUSPEND_REL = 0.03
+# a random start that has not ended after _ABANDON_STEPS steps, with its
+# objective then above _ABANDON_REL * ||y||^2, ends there as `abandoned`.
+# On the Fig. 1 criterion-1 sweep at base seeds 1, 3, 5 and 7 and at
+# M = 80 (kappa_tilde 1 and 100, base seeds 1 and 5), 169 random starts
+# were above the level after 10 steps; the 35 of them that ran on after
+# their restart's ladder stages all ended `converged` at a spurious point,
+# none at the floor.  Ending them there keeps every success count and the
+# winner and mse of every successful row, with 0-5.2 % fewer LM iterations
+_ABANDON_STEPS = 10
+_ABANDON_REL = 0.03
 # initial LM damping mu
 _DAMPING_INIT = 1e-3
 # float64 limits, looked up once rather than on every LM step
@@ -149,7 +148,9 @@ class RecoveryReport:
     restart and its start stage (0 the random start, 1-3 a ladder stage).
     ``iterations`` counts the LM iterations of every run, rank-F runs and
     rank-(F+1) ladder fits, over all restarts: the solver work that ran,
-    the steps of a suspended random start that never resumed included.
+    the 10 steps of an abandoned random start included.  ``status`` is how
+    the winning run ended; it is ``abandoned`` when an abandoned random
+    start had the lowest objective.
     """
 
     model: CpModel
@@ -286,46 +287,11 @@ def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
     return CpModel(tuple(_factor_views(x, dims, rank)))
 
 
-@dataclass(frozen=True)
-class _Suspended:
-    """A run `_lm_single` paused after `iterations` steps; ``steps`` is its
-    loop, which resumes exactly where it stopped."""
-
-    steps: Generator[int, None, LmRun | None]
-    iterations: int
-
-
-def _lm_single(start, op: SensingOperator, y: np.ndarray, max_iters: int,
-               floor: float, suspend_above: float = math.inf
-               ) -> LmRun | _Suspended | None:
-    """One damped Gauss-Newton run from the first N - 1 factors ``start``,
+def _lm_single(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
+               floor: float, abandon_above: float = math.inf) -> LmRun | None:
+    """One damped Gauss-Newton run from the first N - 1 factors ``thetas``,
     at their rank, by variable projection; None if the last factor cannot
     be eliminated at the start.
-
-    The run is suspended, and a `_Suspended` returned, when it has not ended
-    after 10 steps and its objective is then above ``suspend_above``.
-    Passed as ``start``, a `_Suspended` run resumes at the same point,
-    damping, trace and step count, with the ``op``, ``y``, ``max_iters``
-    and ``floor`` it started with, and ends as it would have without the
-    pause.  The loop itself is `_lm_steps`.
-    """
-    if isinstance(start, _Suspended):
-        steps = start.steps
-    else:
-        steps = _lm_steps(start, op, y, max_iters, floor, suspend_above)
-    try:
-        iterations = next(steps)
-    except StopIteration as end:
-        return end.value
-    return _Suspended(steps, iterations)
-
-
-def _lm_steps(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
-              floor: float, suspend_above: float
-              ) -> Generator[int, None, LmRun | None]:
-    """The LM loop of `_lm_single`, as a generator that yields the step
-    count once, where the run is suspended, and returns the `LmRun`, or
-    None if the last factor cannot be eliminated at the start.
 
     The iterate is a `_Point`.  At every evaluated point `_eliminate_last`
     solves for the last factor by least squares, so the objective is
@@ -338,9 +304,9 @@ def _lm_steps(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
     `converged` if the last 10 accepted steps together lowered the objective
     by less than 1e-4 of it (f > (1 - 1e-4) * f_{-10}, with f_{-10} the
     objective 10 accepted steps back; a product, not a ratio, so it is safe
-    at f = 0 and free of the scale of y), and as `max_iters` after
-    ``max_iters`` steps.  A run that passes these tests after 10 steps with
-    its objective above ``suspend_above`` yields there.
+    at f = 0 and free of the scale of y), as `max_iters` after
+    ``max_iters`` steps, and as `abandoned` after 10 steps with its
+    objective above ``abandon_above``.
 
     The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
     Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
@@ -373,8 +339,9 @@ def _lm_steps(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
         if it == max_iters:
             status = STATUS_MAX_ITERS
             break
-        if it == _SUSPEND_STEPS and point.f > suspend_above:
-            yield it
+        if it == _ABANDON_STEPS and point.f > abandon_above:
+            status = STATUS_ABANDONED
+            break
         it += 1
         # J^T J, with mu * shift set on its diagonal for each try
         damped, g = _projected_normal_equations(op, point)
@@ -452,68 +419,18 @@ class _StartRun:
     run: LmRun
 
 
-def _schedule(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
-              floor: float):
-    """Run the (restart, stage) slots, yielding (restart, stage, run, work)
-    for each: the rank-F run, or None where the slot yields none or its
-    random start is suspended, and the LM iterations the slot spent, ladder
-    fit included.  A suspended random start resumes after its restart's
-    ladder stages, as its own slot, and then counts only the steps it adds.
-    The caller stops the schedule at the first run at the floor."""
-    backprojection = adjoint_apply(op, y)
-    suspend_above = _SUSPEND_REL * float(y @ y)
-    for k in range(config.restarts):
-        suspended = None
-        for stage in range(1 + _N_LADDER_STAGES):
-            rng = np.random.default_rng(mix(mix(config.seed, k), stage))
-            work = 0
-            if stage == 0:
-                thetas = [rng.standard_normal((d, config.rank))
-                          for d in op.shape[:-1]]
-            else:
-                # over-parameterized warm start: the rank-(F+1) fit of the
-                # backprojection Phi^T y, refined, then truncated to rank F
-                try:
-                    thetas = _dense_cp_als(backprojection, config.rank + 1,
-                                           rng)[:-1]
-                except np.linalg.LinAlgError:  # the ALS lstsq did not converge
-                    continue
-                # unit columns, free of the scale of y; a zero column stays
-                for a in thetas:
-                    norms = np.linalg.norm(a, axis=0)
-                    norms[norms == 0.0] = 1.0
-                    a /= norms
-                ladder = _lm_single(thetas, op, y, config.max_iters, floor)
-                if ladder is None:
-                    continue
-                work = ladder.iterations
-                thetas = _truncate(ladder.model.factors, config.rank)[:-1]
-            run = _lm_single(thetas, op, y, config.max_iters, floor,
-                             suspend_above if stage == 0 else math.inf)
-            if isinstance(run, _Suspended):
-                suspended = run
-                yield k, stage, None, run.iterations
-            else:
-                yield k, stage, run, work + (0 if run is None else run.iterations)
-        if suspended is not None:
-            run = _lm_single(suspended, op, y, config.max_iters, floor)
-            yield k, 0, run, run.iterations - suspended.iterations
-
-
 def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
             ground_truth: np.ndarray | None = None) -> RecoveryReport:
     """Run the staged Gauss-Newton solver from several random restarts.
 
-    The (restart, stage) slots run in order until a rank-F run reaches the
-    numerical floor, except that a random start still above 0.03 ||y||^2
-    after 10 steps is suspended and runs on after its restart's three
-    ladder stages, if none of them reaches the floor.  The lowest final
-    objective wins (ties: the run that ran first).  A slot is skipped when
-    its ladder stage's ALS fit raises `LinAlgError` or when its ladder fit
-    or rank-F run cannot eliminate the last factor at its start; the
-    iterations of a ladder fit that ran, and of a suspended start that
-    never resumes, still count.  When every slot is skipped, `recover`
-    raises `LinAlgError`.
+    The (restart, stage) pairs run in order until a rank-F run reaches the
+    numerical floor; a random start still above 0.03 ||y||^2 after 10 steps
+    ends there, `abandoned`.  The lowest final objective wins (ties: the
+    first run), an abandoned run included.  A slot is skipped when its
+    ladder stage's ALS fit raises `LinAlgError` or when its ladder fit or
+    rank-F run cannot eliminate the last factor at its start; the
+    iterations of a ladder fit that ran still count.  When every slot is
+    skipped, `recover` raises `LinAlgError`.
     """
     y = check_measurements(op, y)
     if not np.all(np.isfinite(y)):
@@ -523,14 +440,38 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
         ground_truth = check_tensor(op, ground_truth)
         if not np.all(np.isfinite(ground_truth)):
             raise ValueError("ground_truth must be finite")
-    floor = _STAGE_SUCCESS_REL * float(y @ y)
+    yy = float(y @ y)
+    floor, abandon_above = _STAGE_SUCCESS_REL * yy, _ABANDON_REL * yy
+    backprojection = adjoint_apply(op, y)
 
     runs: list[_StartRun] = []
     iterations = 0
-    for k, stage, run, work in _schedule(op, y, config, floor):
-        iterations += work
+    for k, stage in product(range(config.restarts), range(1 + _N_LADDER_STAGES)):
+        rng = np.random.default_rng(mix(mix(config.seed, k), stage))
+        if stage == 0:
+            thetas = [rng.standard_normal((d, config.rank)) for d in op.shape[:-1]]
+        else:
+            # over-parameterized warm start: the rank-(F+1) fit of the
+            # backprojection Phi^T y, refined, then truncated to rank F
+            try:
+                thetas = _dense_cp_als(backprojection, config.rank + 1, rng)[:-1]
+            except np.linalg.LinAlgError:  # the ALS lstsq did not converge
+                continue
+            # unit columns, free of the scale of y; a zero column stays
+            for a in thetas:
+                norms = np.linalg.norm(a, axis=0)
+                norms[norms == 0.0] = 1.0
+                a /= norms
+            ladder = _lm_single(thetas, op, y, config.max_iters, floor)
+            if ladder is None:
+                continue
+            iterations += ladder.iterations
+            thetas = _truncate(ladder.model.factors, config.rank)[:-1]
+        run = _lm_single(thetas, op, y, config.max_iters, floor,
+                         abandon_above if stage == 0 else math.inf)
         if run is None:
             continue
+        iterations += run.iterations
         runs.append(_StartRun(k, stage, run))
         if run.objective <= floor:
             break

@@ -34,11 +34,16 @@ def check_shape(dims) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
-def check_positive(name: str, value: float) -> None:
-    """Reject a scale that is not a positive finite number (NaN included); a
-    str or a bool is not a number."""
+def check_number(name: str, value: float) -> None:
+    """Reject a setting that is not a real number: a str or a bool is not
+    one, though float would read either."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject a scale that is not a positive finite number (NaN included)."""
+    check_number(name, value)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
 

@@ -12,6 +12,7 @@ from .seeding import mix
 from .sensing import SensingOperator
 from .tensor_core import (
     check_count,
+    check_number,
     check_positive,
     check_shape,
     frobenius_norm,
@@ -45,12 +46,15 @@ class BoundInputs:
     def __post_init__(self):
         object.__setattr__(self, "dims",
                            _check_tensor_set(self.dims, self.rank, self.tau))
+        check_number("eta", self.eta)
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         check_positive("alpha", self.alpha)
         check_positive("c", self.c)
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.delta is not None:
+            check_number("delta", self.delta)
+            if not 0.0 < self.delta < 1.0:
+                raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines as the
 criteria finish.  Criterion 1 is a full Monte-Carlo sweep and dominates the
-runtime (about half a minute single-threaded).
+runtime (about 4 s with one BLAS thread on a shared 2-core machine).
 """
 
 import math

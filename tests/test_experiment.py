@@ -142,12 +142,11 @@ class TestConfigValidation:
         ({"kappa_grid": "25"}, "^kappa_grid must be a sequence of numbers, got '25'"),
         ({"kappa_grid": "10"}, "^kappa_grid must be a sequence of numbers, got '10'"),
         ({"kappa_grid": b"1"}, "^kappa_grid must be a sequence of numbers, got b'1'"),
-        ({"kappa_grid": (1, True)},
-         r"^kappa_grid value must be a number, not a bool: \(1, True\)"),
+        ({"kappa_grid": (1, True)}, "^kappa_grid value must be a number, got True$"),
         # a str is not a number, though float would read it; a bare number
         # is not a list
         ({"kappa_grid": ("1", "1e1")},
-         r"^kappa_grid value must be a number, not a str: \('1', '1e1'\)"),
+         "^kappa_grid value must be a number, got '1'$"),
         ({"alpha": "2"}, "^alpha must be a number, got '2'$"),
         ({"success_mse_threshold": "1e-10"},
          "^success_mse_threshold must be a number, got '1e-10'$"),

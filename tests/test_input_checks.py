@@ -1,6 +1,7 @@
 """Every numeric setting rejects NaN, inf and out-of-range values by name."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,33 @@ CASES = [
 ])
 def test_bad_value_rejected_by_name(name, value, call):
     with pytest.raises(ValueError, match=f"^{name} must"):
+        call(value)
+
+
+# (setting named in the message, a call taking its value): a condition
+# number, a bound on one, or a probability; float would read a str, and a
+# bool would be taken as 0 or 1
+NUMBER_CASES = [
+    ("condition number target",
+     lambda v: generate_conditioned_model((3, 3), 2, v, 1)),
+    ("condition number target",
+     lambda v: generate_conditioned_factor(3, 2, v, 0)),
+    ("condition number target", lambda v: rip_probe(_OP, 1, v, 5, 0)),
+    ("tau", lambda v: _bound(tau=v)),
+    ("eta", lambda v: _bound(eta=v)),
+    ("delta", lambda v: _bound(delta=v)),
+    ("tau", lambda v: covering_log_cardinality((4, 4), 1, v, 0.1)),
+    ("kappa_grid value", lambda v: _sweep(kappa_grid=(1.0, v))),
+]
+
+
+@pytest.mark.parametrize("name, value, call", [
+    pytest.param(name, value, call, id=f"{i}-{name}-{value!r}")
+    for i, (name, call) in enumerate(NUMBER_CASES) for value in ("2", True)
+])
+def test_str_or_bool_rejected_by_name(name, value, call):
+    message = f"^{name} must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         call(value)
 
 

@@ -10,6 +10,7 @@ from cpsense.io_text import write_measurements, write_tensor
 from cpsense.recovery import (
     RecoveryConfig,
     RecoveryReport,
+    STATUS_ABANDONED,
     STATUS_CONVERGED,
     STATUS_FLOOR,
     STATUS_MAX_ITERS,
@@ -32,11 +33,11 @@ def _random_model(dims, rank, seed):
     return CpModel(tuple(rng.standard_normal((d, rank)) for d in dims))
 
 
-def _fig1_instance(grid_index, trial_index):
-    """The Fig. 1 sweep's instance at base seed 1 (8x8x8, F = 3, M = 108,
-    kappa_tilde from (1, 10, 100, 1000)): operator, measurements, the
-    solver seed and the planted tensor."""
-    trial_seed = mix(mix(1, grid_index), trial_index)
+def _fig1_instance(grid_index, trial_index, base_seed=1):
+    """The Fig. 1 sweep's instance (8x8x8, F = 3, M = 108, kappa_tilde from
+    (1, 10, 100, 1000)), at base seed 1 unless given: operator,
+    measurements, the solver seed and the planted tensor."""
+    trial_seed = mix(mix(base_seed, grid_index), trial_index)
     model = generate_conditioned_model((8, 8, 8), 3,
                                        (1.0, 10.0, 100.0, 1000.0)[grid_index],
                                        mix(trial_seed, _MODEL_STREAM))
@@ -901,10 +902,11 @@ class TestStartSchedule:
     ends at the n-th scripted objective, or yields no run where that is
     None; the j-th ladder fit takes 1000 * j.  A run's model is its start
     with a zero last factor.  With y = 1, the floor is
-    1e-11 * ||y||^2 = 2e-10 and the suspend level 0.03 * ||y||^2 = 0.6.  A
-    run listed in ``at_step_10`` has that objective after 10 steps and is
-    suspended there if it is above the level it is given; resumed, it
-    takes n more iterations.
+    1e-11 * ||y||^2 = 2e-10 and the abandon level 0.03 * ||y||^2 = 0.6.  A
+    run listed in ``at_step_10`` has that objective after 10 steps; if it
+    is above the level it is given, the run ends there, `abandoned` after
+    10 iterations at that objective, and its scripted objective is never
+    reached.
     """
 
     LEVEL = 0.03 * 20
@@ -913,15 +915,8 @@ class TestStartSchedule:
         at_step_10 = at_step_10 or {}
         calls, runs, levels = [], [], []
 
-        def scripted(start, op, y, max_iters, floor, suspend_above=math.inf):
-            if isinstance(start, recovery._Suspended):
-                calls.append("resume")
-                n = start.steps  # the scripted run's number
-                f = objectives[n - 1]
-                runs.append(recovery.LmRun(models[n], f, [f], 10 + n,
-                                           STATUS_CONVERGED))
-                return runs[-1]
-            levels.append(suspend_above)
+        def scripted(start, op, y, max_iters, floor, abandon_above=math.inf):
+            levels.append(abandon_above)
             assert len(start) == 2
             model = CpModel((*start, np.zeros((3, start[0].shape[1]))))
             if model.rank == 3:
@@ -931,26 +926,26 @@ class TestStartSchedule:
                                       STATUS_CONVERGED)
             calls.append("run")
             n = calls.count("run")
-            if at_step_10.get(n, 0.0) > suspend_above:
-                models[n] = model
-                return recovery._Suspended(n, 10)
+            if at_step_10.get(n, 0.0) > abandon_above:
+                f = at_step_10[n]
+                runs.append(recovery.LmRun(model, f, [f], 10, STATUS_ABANDONED))
+                return runs[-1]
             f = objectives[n - 1]
             if f is None:
                 return None
             runs.append(recovery.LmRun(model, f, [f], n, STATUS_CONVERGED))
             return runs[-1]
 
-        models = {}
         monkeypatch.setattr(recovery, "_lm_single", scripted)
         op = create_operator(20, (3, 3, 3), seed=40)
         report = recover(op, np.ones(20),
                          RecoveryConfig(rank=2, restarts=2, seed=41))
         # the random start of each restart is given the level; ladder fits
-        # and ladder runs are given none, so they never pause
+        # and ladder runs are given none, so they are never abandoned
         random_starts = [i for i, c in enumerate(calls) if c == "run"
                          and (i == 0 or calls[i - 1] != "ladder")]
-        for i, level in zip([i for i, c in enumerate(calls) if c != "resume"],
-                            levels):
+        assert len(levels) == len(calls)
+        for i, level in enumerate(levels):
             assert level == (self.LEVEL if i in random_starts else math.inf)
         return report, calls, runs
 
@@ -994,43 +989,60 @@ class TestStartSchedule:
         assert report.model is runs[1].model
         assert report.iterations == 1 + 3 + 1000 + 2000
 
-    def test_suspended_start_runs_after_the_ladder_stages(self, monkeypatch):
-        # restart 0's random start is suspended; stages 1-3 miss the floor,
-        # so it resumes after them, reaches the floor and wins; restart 1
-        # never runs
-        objectives = [1e-13, 5.0, 4.0, 3.0, 0.0]
+    def test_abandoned_start_is_never_resumed(self, monkeypatch):
+        # restart 0's random start is abandoned, though its scripted run
+        # would reach the floor; stages 1-3 miss the floor, and restart 1's
+        # random start runs next, reaches the floor and wins
+        objectives = [0.0, 5.0, 4.0, 3.0, 1e-13]
         report, calls, runs = self._recover(monkeypatch, objectives,
                                             at_step_10={1: 1.0})
         assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
-                         "run", "resume"]
-        assert (report.restart_index, report.stage_index) == (0, 0)
+                         "run", "run"]
+        assert runs[0].status == STATUS_ABANDONED
+        assert (report.restart_index, report.stage_index) == (1, 0)
         assert report.model is runs[-1].model and report.objective == 1e-13
-        # the resumed run's 11 iterations, its first 10 counted once
-        assert report.iterations == 11 + 2 + 3 + 4 + 1000 * (1 + 2 + 3)
+        # the abandoned start's 10 iterations count
+        assert report.iterations == 10 + 2 + 3 + 4 + 5 + 1000 * (1 + 2 + 3)
 
-    def test_ladder_stage_ran_first_wins_a_tie(self, monkeypatch):
-        # restart 0's resumed start ties its stage 2 above the floor, and
-        # restart 1 finds nothing lower: stage 2 ran first, so it wins
-        objectives = [3.0, 5.0, 3.0, 4.0, 6.0, 7.0, 8.0, 9.0]
+    def test_abandoned_run_with_the_lowest_objective_wins(self, monkeypatch):
+        # restart 0's random start is abandoned at 1.0, and no later run
+        # ends lower: it wins and reports how it ended
+        objectives = [0.0, 5.0, 4.0, 3.0, 6.0, 7.0, 8.0, 9.0]
         report, calls, runs = self._recover(monkeypatch, objectives,
                                             at_step_10={1: 1.0})
         assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
-                         "run", "resume", "run", "ladder", "run", "ladder",
-                         "run", "ladder", "run"]
-        assert (report.restart_index, report.stage_index) == (0, 2)
-        assert report.model is runs[1].model
-        assert report.iterations == (11 + sum(range(2, 9))
+                         "run"] * 2
+        assert (report.restart_index, report.stage_index) == (0, 0)
+        assert report.model is runs[0].model
+        assert report.objective == 1.0 and report.objective_trace == [1.0]
+        assert report.status == STATUS_ABANDONED
+        assert report.iterations == (10 + sum(range(2, 9))
                                      + 1000 * sum(range(1, 7)))
 
-    def test_winning_ladder_stage_leaves_the_start_suspended(self,
+    def test_ladder_stage_ran_first_wins_a_tie(self, monkeypatch):
+        # restart 1's random start is abandoned at 3.0, the objective of
+        # restart 0's stage 2, and nothing ends lower: stage 2 ran first,
+        # so it wins
+        objectives = [5.0, 6.0, 3.0, 4.0, 0.0, 7.0, 8.0, 9.0]
+        report, calls, runs = self._recover(monkeypatch, objectives,
+                                            at_step_10={5: 3.0})
+        assert calls == ["run", "ladder", "run", "ladder", "run", "ladder",
+                         "run"] * 2
+        assert runs[4].status == STATUS_ABANDONED and runs[4].objective == 3.0
+        assert (report.restart_index, report.stage_index) == (0, 2)
+        assert report.model is runs[2].model
+        assert report.iterations == (1 + 2 + 3 + 4 + 10 + 6 + 7 + 8
+                                     + 1000 * sum(range(1, 7)))
+
+    def test_winning_ladder_stage_counts_the_abandoned_start(self,
                                                              monkeypatch):
-        # the suspended start would reach the floor too, but stage 1 does
-        # first; the start's 10 steps still count
+        # the abandoned start's scripted run would reach the floor too, but
+        # it ends at step 10, and stage 1 does; the start's 10 steps count
         report, calls, runs = self._recover(monkeypatch, [1e-13, 1e-13],
                                             at_step_10={1: 1.0})
         assert calls == ["run", "ladder", "run"]
         assert (report.restart_index, report.stage_index) == (0, 1)
-        assert report.model is runs[0].model
+        assert report.model is runs[1].model
         assert report.iterations == 10 + 2 + 1000
 
     def test_start_below_the_level_keeps_the_order(self, monkeypatch):
@@ -1050,12 +1062,12 @@ class TestStartSchedule:
         report, calls, runs = self._recover(
             monkeypatch, [5.0, 4.0, 3.0, 1e-13],
             at_step_10={2: 1e300, 3: 1e300, 4: 1e300})
-        assert "resume" not in calls
+        assert STATUS_ABANDONED not in [r.status for r in runs]
         assert (report.restart_index, report.stage_index) == (0, 3)
 
 
-class TestSuspendedRun:
-    def test_resumed_run_is_the_uninterrupted_run(self):
+class TestAbandonedRun:
+    def test_abandoned_run_is_the_uninterrupted_run_cut_at_10_steps(self):
         # the Fig. 1 kappa_tilde = 1, trial 0 instance at base seed 1: its
         # random start is above 0.03 ||y||^2 after 10 steps
         op, y, seed, _ = _fig1_instance(0, 0)
@@ -1064,22 +1076,22 @@ class TestSuspendedRun:
         yy = float(y @ y)
         floor, level = 1e-11 * yy, 0.03 * yy
         whole = recovery._lm_single(start, op, y, 500, floor)
-        paused = recovery._lm_single(start, op, y, 500, floor, level)
-        assert isinstance(paused, recovery._Suspended)
-        assert paused.iterations == recovery._SUSPEND_STEPS == 10
-        resumed = recovery._lm_single(paused, op, y, 500, floor)
-        # it ends `converged` near 0.1 ||y||^2, after 39 steps
-        assert whole.iterations > 10 and resumed.trace[10] > level
-        assert ((resumed.iterations, resumed.status, resumed.objective)
-                == (whole.iterations, whole.status, whole.objective))
-        assert resumed.trace == whole.trace
-        for a, b in zip(resumed.model.factors, whole.model.factors):
+        abandoned = recovery._lm_single(start, op, y, 500, floor, level)
+        assert abandoned.status == STATUS_ABANDONED
+        assert abandoned.iterations == recovery._ABANDON_STEPS == 10
+        # run on, it ends `converged` near 0.1 ||y||^2, after 39 steps
+        assert whole.iterations > 10 and whole.trace[10] > level
+        assert abandoned.trace == whole.trace[:11]
+        assert abandoned.objective == whole.trace[10]
+        cut = recovery._lm_single(start, op, y, 10, floor)
+        assert (cut.status, cut.trace) == (STATUS_MAX_ITERS, abandoned.trace)
+        for a, b in zip(abandoned.model.factors, cut.model.factors):
             assert np.array_equal(a, b)
 
     def test_fig1_trial_wins_at_stage_1_with_its_mse_bits(self):
-        # the instance above: its suspended random start never resumes, and
-        # stage 1 wins as it did when the random start ran first, with the
-        # same mse to the last bit, after 20 LM iterations (49 before)
+        # the instance above: its random start is abandoned, and stage 1
+        # wins as it did when the random start ran on, with the same mse to
+        # the last bit, after 20 LM iterations (49 when it ran on)
         op, y, seed, truth = _fig1_instance(0, 0)
         report = recover(op, y, RecoveryConfig(rank=3, seed=seed),
                          ground_truth=truth)
@@ -1087,3 +1099,17 @@ class TestSuspendedRun:
                 report.status) == (0, 1, STATUS_FLOOR)
         assert report.iterations == 20
         assert report.mse.hex() == "0x1.42d965324f1c4p-57"
+
+    def test_abandoned_start_leaves_restart_1_to_win(self):
+        # base seed 5, kappa_tilde = 1, trial 19: restart 0's random start is
+        # abandoned, and restart 0's ladder stages all miss the floor;
+        # running the start on after them would add 40 LM iterations and
+        # end `converged`.  Restart 1's first ladder stage wins, after 290 LM
+        # iterations in all
+        op, y, seed, truth = _fig1_instance(0, 19, base_seed=5)
+        report = recover(op, y, RecoveryConfig(rank=3, seed=seed),
+                         ground_truth=truth)
+        assert (report.restart_index, report.stage_index,
+                report.status) == (1, 1, STATUS_FLOOR)
+        assert report.iterations == 290
+        assert report.mse.hex() == "0x1.2ba524e4d9581p-44"
