@@ -46,12 +46,15 @@ stage) slot, as it skips a ladder stage whose ALS fit raises, and raises
 
 Every LM run, rank-F runs and rank-(F+1) ladder fits alike, checks the floor
 at its start and after each accepted step and ends there with status
-``floor``.  A run that is not at the floor ends as ``converged`` once the
-last 10 accepted steps together lowered the objective by less than 1e-4 of
-it (a plateau; Madsen, Nielsen & Tingleff stop on such slow progress).  The
-plateau test is a search budget, not a stop with a margin: it can end a run
-that would reach the floor much later, and the search then moves on to the
-next start.
+``floor``.  A run that is not at the floor ends as ``converged`` on a
+plateau (Madsen, Nielsen & Tingleff stop on such slow progress): a rank-F
+run once its last 10 accepted steps together lowered the objective by less
+than 1e-4 of it, a ladder fit once its last 5 lowered it by less than 3e-2
+of it.  A ladder fit only has to give a start, so it ends as soon as it
+stops descending, where a rank-F run must still be able to crawl to the
+floor.  The plateau test is a search budget, not a stop with a margin: it
+can end a run that would reach the floor much later, and the search then
+moves on to the next start.
 
 No start puts the scale of y into theta; the last factor, which carries it,
 is solved for; the floor, the plateau test and the damping D = diag(J^T J)
@@ -97,18 +100,33 @@ _DIAG_FLOOR = 1e-12
 _STAGE_SUCCESS_REL = 1e-11
 _N_LADDER_STAGES = 3
 _ALS_INIT_SWEEPS = 30
-# a run converges once the last _PLATEAU_STEPS accepted steps together
-# lowered the objective by less than _PLATEAU_REL_TOL of it.  This is a
-# search budget, not a margin-protected stop.  On the Fig. 1 criterion-1
-# sweep at base seeds 1, 3, 5 and 7 it ends two random starts that would
-# reach the floor after 478 and 293 steps (base seed 1, kappa_tilde = 100,
-# trial 18; base seed 5, kappa_tilde = 1000, trial 3), and restart 0's
-# first ladder stage recovers both trials; the flattest 10-step window
-# of a rank-F run that reached the floor lowered the objective by 2.4e-4 of
-# it.  Against 20 steps under 1e-7, the sweep runs 15-25 % fewer LM
-# iterations with the same success counts; at 1e-3 an M = 80 trial is lost
-_PLATEAU_STEPS = 10
-_PLATEAU_REL_TOL = 1e-4
+# a run converges once its last `steps` accepted steps together lowered the
+# objective by less than `tol` of it, (steps, tol) one of the pairs below.
+# This is a search budget, not a margin-protected stop.
+# _PLATEAU_RANK_F, for rank-F runs: on the Fig. 1 criterion-1 sweep at base
+# seeds 1, 3, 5 and 7 it ends two random starts that would reach the floor
+# after 478 and 293 steps (base seed 1, kappa_tilde = 100, trial 18; base
+# seed 5, kappa_tilde = 1000, trial 3), and restart 0's first ladder stage
+# recovers both trials; the flattest 10-step window of a rank-F run that
+# reached the floor lowered the objective by 2.4e-4 of it.  Against 20
+# steps under 1e-7, the sweep runs 15-25 % fewer LM iterations with the
+# same success counts; at 1e-3 an M = 80 trial is lost.
+# _PLATEAU_LADDER, for rank-(F+1) ladder fits, which only give a start: a
+# fit that stalls in a swamp (Mitchell & Burdick, J. Chemometrics 8, 1994)
+# sits flat for 30-60 steps under the rank-F pair before it ends.  Under
+# the rank-F pair, 9 of the 143 ladder fits that reached the floor on the
+# criterion-1 sweep at base seeds 1, 3, 5 and 7 had a flatter 5-step
+# window; the search still recovers each of those trials, from the
+# truncated fit or a later stage.  Against the rank-F pair, the sweep runs
+# 14,665 / 18,197 / 14,061 / 15,149 -> 12,623 / 15,970 / 13,454 / 13,333
+# LM iterations (base seeds 1/3/5/7) with the same success counts, and
+# M = 80 rows (kappa_tilde 1 and 100, base seeds 1 and 5) do not move.
+# The frontier, as (steps, tol): (5, 1e-3) loses a kappa_tilde = 1 trial
+# at base seed 3; (10, 1e-2) saves less (14,503 / 16,899 at base seeds
+# 1 / 3); (5, 5e-2) and (5, 1e-1) take base seed 1 to 12,865 and 12,564,
+# and (5, 1e-1) takes base seed 5 to 14,236
+_PLATEAU_RANK_F = (10, 1e-4)
+_PLATEAU_LADDER = (5, 3e-2)
 # a random start that has not ended after _ABANDON_STEPS steps, with its
 # objective then above _ABANDON_REL * ||y||^2, ends there as `abandoned`.
 # On the Fig. 1 criterion-1 sweep at base seeds 1, 3, 5 and 7 and at
@@ -288,7 +306,8 @@ def _unpack(x: np.ndarray, dims, rank: int) -> CpModel:
 
 
 def _lm_single(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
-               floor: float, abandon_above: float = math.inf) -> LmRun | None:
+               floor: float, abandon_above: float = math.inf,
+               plateau: tuple[int, float] = _PLATEAU_RANK_F) -> LmRun | None:
     """One damped Gauss-Newton run from the first N - 1 factors ``thetas``,
     at their rank, by variable projection; None if the last factor cannot
     be eliminated at the start.
@@ -301,12 +320,14 @@ def _lm_single(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
 
     Each iteration, the start included, first tests the current point: the
     run ends as `floor` if its objective is at most ``floor``, as
-    `converged` if the last 10 accepted steps together lowered the objective
-    by less than 1e-4 of it (f > (1 - 1e-4) * f_{-10}, with f_{-10} the
-    objective 10 accepted steps back; a product, not a ratio, so it is safe
-    at f = 0 and free of the scale of y), as `max_iters` after
-    ``max_iters`` steps, and as `abandoned` after 10 steps with its
-    objective above ``abandon_above``.
+    `converged` if, with ``plateau`` = (steps, tol), the last `steps`
+    accepted steps together lowered the objective by less than `tol` of it
+    (f > (1 - tol) * f_{-steps}, with f_{-steps} the objective `steps`
+    accepted steps back; a product, not a ratio, so it is safe at f = 0 and
+    free of the scale of y), as `max_iters` after ``max_iters`` steps, and
+    as `abandoned` after 10 steps with its objective above
+    ``abandon_above``.  ``plateau`` is (10, 1e-4) for a rank-F run and
+    (5, 3e-2) for a rank-(F+1) ladder fit.
 
     The damping mu follows Nielsen's gain-ratio rule (Madsen, Nielsen &
     Tingleff, Methods for Non-Linear Least Squares Problems, DTU 2004,
@@ -320,6 +341,7 @@ def _lm_single(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
     ``y`` is taken as checked.  The one `CpModel` is built when the run ends.
     """
     rank = thetas[0].shape[1]
+    plateau_steps, plateau_tol = plateau
     point = _eliminate_last(op, _pack(thetas), rank, y)
     if point is None:
         return None
@@ -332,8 +354,8 @@ def _lm_single(thetas, op: SensingOperator, y: np.ndarray, max_iters: int,
         if point.f <= floor:
             status = STATUS_FLOOR
             break
-        if len(trace) > _PLATEAU_STEPS and point.f > (
-                1.0 - _PLATEAU_REL_TOL) * trace[-1 - _PLATEAU_STEPS]:
+        if len(trace) > plateau_steps and point.f > (
+                1.0 - plateau_tol) * trace[-1 - plateau_steps]:
             status = STATUS_CONVERGED
             break
         if it == max_iters:
@@ -462,7 +484,8 @@ def recover(op: SensingOperator, y: np.ndarray, config: RecoveryConfig,
                 norms = np.linalg.norm(a, axis=0)
                 norms[norms == 0.0] = 1.0
                 a /= norms
-            ladder = _lm_single(thetas, op, y, config.max_iters, floor)
+            ladder = _lm_single(thetas, op, y, config.max_iters, floor,
+                                plateau=_PLATEAU_LADDER)
             if ladder is None:
                 continue
             iterations += ladder.iterations

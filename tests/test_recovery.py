@@ -46,11 +46,9 @@ def _fig1_instance(grid_index, trial_index, base_seed=1):
     return op, apply(op, truth), mix(trial_seed, _SOLVER_STREAM), truth
 
 
-def _plateau_ends(trace):
-    """The trace indices i at which the `recovery._PLATEAU_STEPS` accepted
-    steps up to step i lowered the objective by less than
-    `recovery._PLATEAU_REL_TOL` of it."""
-    steps, tol = recovery._PLATEAU_STEPS, recovery._PLATEAU_REL_TOL
+def _plateau_ends(trace, steps, tol):
+    """The trace indices i at which the `steps` accepted steps up to step i
+    lowered the objective by less than `tol` of it."""
     return [i for i in range(steps, len(trace))
             if trace[i] > (1.0 - tol) * trace[i - steps]]
 
@@ -504,7 +502,8 @@ class TestLmSingle:
                                                   rel=1e-3)
             # the last 11 values (steps 62-73) meet the rule and no earlier
             # window does
-            assert _plateau_ends(run.trace) == [run.iterations]
+            assert (_plateau_ends(run.trace, *recovery._PLATEAU_RANK_F)
+                    == [run.iterations])
             runs.append((start, run))
         # the 1e3 run differs from the first by rounding, which can move
         # the step at which a window first falls below the tolerance;
@@ -525,7 +524,8 @@ class TestLmSingle:
         assert (report.restart_index, report.stage_index) == (0, 1)
         assert report.status == STATUS_FLOOR
         assert len(report.objective_trace) == 91
-        assert _plateau_ends(report.objective_trace) == []
+        assert _plateau_ends(report.objective_trace,
+                             *recovery._PLATEAU_RANK_F) == []
 
     def test_slow_random_start_ends_and_a_ladder_stage_recovers(self):
         # the Fig. 1 kappa_tilde = 100, trial 18 instance: without the
@@ -906,17 +906,19 @@ class TestStartSchedule:
     run listed in ``at_step_10`` has that objective after 10 steps; if it
     is above the level it is given, the run ends there, `abandoned` after
     10 iterations at that objective, and its scripted objective is never
-    reached.
+    reached.  Every call's abandon level and plateau pair are checked.
     """
 
     LEVEL = 0.03 * 20
 
     def _recover(self, monkeypatch, objectives, at_step_10=None):
         at_step_10 = at_step_10 or {}
-        calls, runs, levels = [], [], []
+        calls, runs, levels, plateaus = [], [], [], []
 
-        def scripted(start, op, y, max_iters, floor, abandon_above=math.inf):
+        def scripted(start, op, y, max_iters, floor, abandon_above=math.inf,
+                     plateau=recovery._PLATEAU_RANK_F):
             levels.append(abandon_above)
+            plateaus.append(plateau)
             assert len(start) == 2
             model = CpModel((*start, np.zeros((3, start[0].shape[1]))))
             if model.rank == 3:
@@ -947,6 +949,10 @@ class TestStartSchedule:
         assert len(levels) == len(calls)
         for i, level in enumerate(levels):
             assert level == (self.LEVEL if i in random_starts else math.inf)
+        # every ladder fit is given the ladder plateau pair, every rank-2
+        # run the rank-F pair
+        assert plateaus == [recovery._PLATEAU_LADDER if c == "ladder"
+                            else recovery._PLATEAU_RANK_F for c in calls]
         return report, calls, runs
 
     def test_first_minimum_wins_and_counts_every_fit(self, monkeypatch):
@@ -1104,12 +1110,63 @@ class TestAbandonedRun:
         # base seed 5, kappa_tilde = 1, trial 19: restart 0's random start is
         # abandoned, and restart 0's ladder stages all miss the floor;
         # running the start on after them would add 40 LM iterations and
-        # end `converged`.  Restart 1's first ladder stage wins, after 290 LM
-        # iterations in all
+        # end `converged`.  Restart 1's first ladder stage wins, after 228 LM
+        # iterations in all.  Restart 0's three ladder fits stall near
+        # 0.01 ||y||^2 and end on the ladder plateau after 14, 23 and 19
+        # steps (29, 48 and 40 under the rank-F pair, 290 iterations in all)
         op, y, seed, truth = _fig1_instance(0, 19, base_seed=5)
         report = recover(op, y, RecoveryConfig(rank=3, seed=seed),
                          ground_truth=truth)
         assert (report.restart_index, report.stage_index,
                 report.status) == (1, 1, STATUS_FLOOR)
-        assert report.iterations == 290
+        assert report.iterations == 228
         assert report.mse.hex() == "0x1.2ba524e4d9581p-44"
+
+
+class TestLadderPlateau:
+    """Base seed 1, kappa_tilde = 1, trial 4: restart 0's random start is
+    abandoned, and its stage-1 ladder fit stalls near 6.1e-3 ||y||^2."""
+
+    @staticmethod
+    def _stage_1_start():
+        # the start `recover` gives restart 0's first ladder fit
+        op, y, seed, truth = _fig1_instance(0, 4)
+        rng = np.random.default_rng(mix(mix(seed, 0), 1))
+        start = recovery._dense_cp_als(adjoint_apply(op, y), 4, rng)[:-1]
+        for a in start:
+            a /= np.linalg.norm(a, axis=0)
+        return op, y, start
+
+    def test_stalled_ladder_fit_ends_on_the_ladder_plateau(self):
+        op, y, start = self._stage_1_start()
+        floor = 1e-11 * float(y @ y)
+        fit = recovery._lm_single(start, op, y, 500, floor,
+                                  plateau=recovery._PLATEAU_LADDER)
+        assert fit.status == STATUS_CONVERGED and fit.iterations == 17
+        assert fit.objective == pytest.approx(6.1e-3 * float(y @ y), rel=1e-2)
+        # steps 12-17 meet the ladder rule and no earlier window does
+        assert _plateau_ends(fit.trace, *recovery._PLATEAU_LADDER) == [17]
+        # under the rank-F pair the same fit runs on to step 48, gaining
+        # under 1 % of its objective after step 17
+        long = recovery._lm_single(start, op, y, 500, floor)
+        assert (long.status, long.iterations) == (STATUS_CONVERGED, 48)
+        assert long.trace[:18] == fit.trace
+        assert long.objective > 0.99 * fit.objective
+        # scaled by powers of two, every value scales exactly, and the fit
+        # ends at the same step
+        scaled = recovery._lm_single([2.0 ** 10 * a for a in start], op,
+                                     2.0 ** 30 * y, 500, floor * 2.0 ** 60,
+                                     plateau=recovery._PLATEAU_LADDER)
+        assert (scaled.status, scaled.iterations) == (fit.status, fit.iterations)
+        assert scaled.trace == [2.0 ** 60 * v for v in fit.trace]
+
+    def test_trial_still_wins_at_stage_2_with_its_mse_bits(self):
+        # the winner and its mse are as when the fit ran to step 48; the
+        # trial takes 65 LM iterations (95 before)
+        op, y, seed, truth = _fig1_instance(0, 4)
+        report = recover(op, y, RecoveryConfig(rank=3, seed=seed),
+                         ground_truth=truth)
+        assert (report.restart_index, report.stage_index,
+                report.status) == (0, 2, STATUS_FLOOR)
+        assert report.iterations == 65
+        assert report.mse.hex() == "0x1.533affb1674b7p-42"
