@@ -111,6 +111,28 @@ def normalize(model: CpModel) -> NormalizedCpForm:
     return NormalizedCpForm(lambda_tilde=lam, factors_tilde=factors_tilde)
 
 
+def generate_conditioned_factors(rows: int, cols: int, kappa_target: float,
+                                 seeds) -> np.ndarray:
+    """k x rows x cols stack of `generate_conditioned_factor` draws, one per
+    seed, with the same bits.
+
+    The k uniform draws go through one stacked SVD and one stacked product,
+    which run the same LAPACK and BLAS calls per matrix as k single draws.
+    """
+    check_count("rows", rows)
+    check_count("cols", cols)
+    check_rank_fits((rows,), cols)
+    check_kappa("condition number target", kappa_target)
+    for seed in seeds:
+        check_seed("rng_seed", seed)
+    a = np.empty((len(seeds), rows, cols))
+    for draw, seed in zip(a, seeds):
+        np.random.default_rng(seed).random(out=draw)
+    u, _, vt = np.linalg.svd(a, full_matrices=False)
+    s = np.linspace(1.0, 1.0 / kappa_target, cols)
+    return (u * s) @ vt
+
+
 def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
                                 rng_seed: int) -> np.ndarray:
     """Random rows x cols matrix with condition number exactly kappa_target.
@@ -119,16 +141,7 @@ def generate_conditioned_factor(rows: int, cols: int, kappa_target: float,
     replaced by values evenly spaced from 1 down to 1/kappa_target while the
     singular vectors are kept, so the spectral norm is 1.
     """
-    check_count("rows", rows)
-    check_count("cols", cols)
-    check_rank_fits((rows,), cols)
-    check_kappa("condition number target", kappa_target)
-    check_seed("rng_seed", rng_seed)
-    rng = np.random.default_rng(rng_seed)
-    a = rng.random((rows, cols))
-    u, _, vt = np.linalg.svd(a, full_matrices=False)
-    s = np.linspace(1.0, 1.0 / kappa_target, cols)
-    return (u * s) @ vt
+    return generate_conditioned_factors(rows, cols, kappa_target, (rng_seed,))[0]
 
 
 def generate_conditioned_model(dims, rank: int, kappa_tilde: float,

@@ -7,7 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import check_kappa, generate_conditioned_model
+from .conditioning import (
+    check_kappa,
+    check_rank_fits,
+    generate_conditioned_factors,
+)
 from .seeding import mix
 from .sensing import SensingOperator
 from .tensor_core import (
@@ -15,9 +19,7 @@ from .tensor_core import (
     check_number,
     check_positive,
     check_shape,
-    frobenius_norm,
     param_count,
-    reconstruct,
 )
 
 
@@ -106,29 +108,62 @@ def covering_log_cardinality(dims, rank: int, tau: float, epsilon: float) -> flo
 
 def rip_probe(op: SensingOperator, rank: int, kappa_tilde: float,
               samples: int, seed: int) -> RipProbeResult:
-    """Sample conditioned unit-Frobenius CP tensors and record ||A(X)||^2.
+    """Sample conditioned CP tensors X and record ||A(X)||^2 / ||X||^2.
 
-    Sample i is drawn from seed mix(seed, i).  The normalized samples are
-    stacked, one block of about 1 MiB at a time, and Phi is applied to a
-    whole block with one matrix product, so Phi is read once per block, not
-    once per sample.  A block holds max(1, 2^20 // (8 max(J, M))) samples,
-    so neither it nor its image under Phi grows much past 1 MiB.
+    Sample i is `generate_conditioned_model(op.shape, rank, kappa_tilde,
+    mix(seed, i))`.  Samples are drawn a block at a time, each mode's
+    factors for the whole block in one `generate_conditioned_factors` call.
+    Phi, viewed as M x I_1 x J/I_1, is then streamed in slices of
+    leading-mode indices: a slice of the block's tensors is the leading
+    factor's rows times the trailing modes' component rows, summed over
+    components 0..F-1, and ||x||^2 and Phi x are accumulated slice by
+    slice, so Phi is read once per block.  A block holds
+    max(1, 2^20 // (8 max(F J/I_1, M))) samples, so neither its component
+    rows nor Phi x grows much past 1 MiB, and a slice spans as many leading
+    indices (at least one) as fit beside the component rows in 1 MiB.
     """
     check_count("samples", samples)
     check_count("seed", seed, low=-math.inf)
-    j = math.prod(op.shape)
-    rows = max(1, _PROBE_BLOCK_BYTES // (8 * max(j, op.m)))
-    block = np.empty((min(rows, samples), j))
+    check_count("rank", rank)
+    check_rank_fits(op.shape, rank)
+    check_kappa("condition number target", kappa_tilde)
+    lead, *trail = op.shape
+    k = math.prod(trail)
+    phi = op.matrix.reshape(op.m, lead, k)
+    block = max(1, _PROBE_BLOCK_BYTES // (8 * max(rank * k, op.m)))
     ratios = np.empty(samples)
-    for start in range(0, samples, len(block)):
-        xs = block[:samples - start]
-        for k, x in enumerate(xs):
-            model = generate_conditioned_model(op.shape, rank, kappa_tilde,
-                                               mix(seed, start + k))
-            x[:] = reconstruct(model).ravel()
-            x /= frobenius_norm(x)
-        ys = xs @ op.matrix.T
-        ratios[start:start + len(xs)] = np.einsum("ij,ij->i", ys, ys)
+    for start in range(0, samples, block):
+        sample_seeds = [mix(seed, i)
+                        for i in range(start, min(start + block, samples))]
+        s = len(sample_seeds)
+        # mode n's factors of the block, s x I_n x F
+        a0, *rest = (
+            generate_conditioned_factors(
+                d, rank, kappa_tilde, [mix(t, n) for t in sample_seeds])
+            for n, d in enumerate(op.shape))
+        # the trailing modes' component rows, s x F x J/I_1, built from
+        # C-contiguous s x F x I_n copies so each product runs along a row
+        rows = rest[0].transpose(0, 2, 1).copy()
+        for a in rest[1:]:
+            a = a.transpose(0, 2, 1).copy()
+            rows = (rows[:, :, :, None] * a[:, :, None, :]).reshape(s, rank, -1)
+        room = _PROBE_BLOCK_BYTES - rows.nbytes
+        width = min(lead, max(1, room // (8 * s * k)))
+        xs = np.empty((s, width, k))
+        sq = np.zeros(s)
+        for lo in range(0, lead, width):
+            # the block's tensors at leading indices lo..lo+width-1
+            x = np.einsum("sif,sfk->sik", a0[:, lo:lo + width], rows,
+                          out=xs[:, :lead - lo]).reshape(s, -1)
+            sq += np.einsum("ij,ij->i", x, x)
+            phi_t = phi[:, lo:lo + width].reshape(op.m, -1).T
+            # the first slice's product becomes ys; the later ones are added
+            # in place, so at most one s x M temporary sits beside it
+            if lo:
+                ys += x @ phi_t
+            else:
+                ys = x @ phi_t
+        ratios[start:start + s] = np.einsum("ij,ij->i", ys, ys) / sq
     return RipProbeResult(samples=samples, mean_ratio=float(ratios.mean()),
                           min_ratio=float(ratios.min()),
                           max_ratio=float(ratios.max()))

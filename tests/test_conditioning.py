@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from cpsense.conditioning import (
     KAPPA_FINITE,
     KAPPA_INFINITE,
     generate_conditioned_factor,
+    generate_conditioned_factors,
     generate_conditioned_model,
     kappa,
     normalize,
 )
+from cpsense.experiment import _MODEL_STREAM
 from cpsense.io_text import write_cpmodel
+from cpsense.seeding import mix
 from cpsense.tensor_core import (
     CpModel,
     DimensionMismatch,
@@ -184,6 +189,19 @@ class TestGenerateConditionedFactor:
             generate_conditioned_factor(3, 2, target, 0)
 
 
+class TestGenerateConditionedFactors:
+    @pytest.mark.parametrize("rows, cols", [(8, 3), (3, 3), (5, 1), (1, 1),
+                                            (20, 4)])
+    @pytest.mark.parametrize("target", [1.0, 10.0, 1e3])
+    def test_stack_equals_single_draws_bit_for_bit(self, rows, cols, target):
+        seeds = [mix(17, i) for i in range(12)]
+        stack = generate_conditioned_factors(rows, cols, target, seeds)
+        assert stack.shape == (len(seeds), rows, cols)
+        for seed, a in zip(seeds, stack):
+            np.testing.assert_array_equal(
+                a, generate_conditioned_factor(rows, cols, target, seed))
+
+
 class TestGenerateConditionedModel:
     def test_cond_one_everywhere(self):
         model = generate_conditioned_model((4, 5, 6), 2, 1.0, 11)
@@ -202,3 +220,12 @@ class TestGenerateConditionedModel:
     def test_dim_below_rank_rejected(self):
         with pytest.raises(DimensionMismatch):
             generate_conditioned_model((2, 4, 4), 3, 1.0, 0)
+
+    def test_planted_model_bits_pinned(self):
+        # the planted tensor of criterion 1's first kappa = 10 trial at base
+        # seed 1; a change to these bits moves every criterion-1 row
+        seed = mix(mix(mix(1, 1), 0), _MODEL_STREAM)
+        model = generate_conditioned_model((8, 8, 8), 3, 10.0, seed)
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in model.factors))
+        assert digest.hexdigest() == (
+            "c768367c2404e687742c29a5b1cddd2f91bd69e79857bfaf2e737eb6322836ee")

@@ -6,11 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from cpsense import cli
-from cpsense.conditioning import generate_conditioned_factor, generate_conditioned_model
+from cpsense import cli, theory_bounds
+from cpsense.conditioning import (
+    generate_conditioned_factor,
+    generate_conditioned_factors,
+    generate_conditioned_model,
+)
 from cpsense.experiment import ExperimentConfig
 from cpsense.recovery import RecoveryConfig
 from cpsense.sensing import create_operator
+from cpsense.tensor_core import DimensionMismatch
 from cpsense.theory_bounds import BoundInputs, covering_log_cardinality, rip_probe
 
 NAN, INF = math.nan, math.inf
@@ -170,11 +175,22 @@ def test_cli_names_a_zero_rank(args, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "model.txt").exists()
 
 
+def test_rip_probe_rejects_a_rank_above_a_dimension_before_drawing(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(theory_bounds, "generate_conditioned_factors", draw)
+    message = "every dimension must be >= rank, got dims=(3, 3), rank=4"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        rip_probe(_OP, 4, 1.0, 5, 0)
+
+
 # (seed named in the message, a call taking its value); seeds handed to
 # numpy's generators as they are must be integers >= 0
 SEED_CASES = [
     ("operator seed", lambda v: create_operator(10, (3, 3), seed=v)),
     ("rng_seed", lambda v: generate_conditioned_factor(3, 2, 1.0, v)),
+    ("rng_seed", lambda v: generate_conditioned_factors(3, 2, 1.0, [0, v])),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,13 +147,25 @@ class TestRipProbe:
             large.append(rip_probe(op_l, 2, 1.0, samples=25, seed=rep).delta_hat)
         assert float(np.median(large)) < float(np.median(small))
 
-    @pytest.mark.parametrize("dims, m, samples, block_rows", [
-        ((20, 20, 20), 20, 40, 16),  # blocks of 16, 16 and 8 samples
-        ((6, 6, 6), 30, 25, 606),  # one block
-        ((4, 4), 20000, 15, 6),  # M > J sizes the blocks: 6, 6 and 3
-    ], ids=["several blocks", "one block", "blocks sized by M"])
-    def test_matches_per_sample_oracle(self, dims, m, samples, block_rows):
-        assert _PROBE_BLOCK_BYTES // (8 * max(math.prod(dims), m)) == block_rows
+    # block: samples per block, max(1, 2^20 // (8 max(F J/I_1, M))) at F = 3;
+    # width: leading indices per slice of the first block, as many as fit
+    # beside its F x J/I_1 component rows in 2^20 bytes (a last, smaller
+    # block gets wider slices)
+    @pytest.mark.parametrize("dims, m, samples, block, width", [
+        ((20, 20, 20), 20, 250, 109, 1),  # blocks of 109, 109 and 32
+        ((20, 20, 20), 20, 35, 109, 6),  # one block, slices of 6, ..., 6, 2
+        ((6, 6, 6), 30, 25, 1213, 6),  # one block, one slice
+        ((4, 4), 20000, 15, 6, 4),  # M > J sizes the blocks: 6, 6 and 3
+        ((10, 2000), 20, 30, 21, 1),  # order 2: blocks of 21 and 9
+        ((8, 8, 8, 8), 20, 100, 85, 1),  # order 4: blocks of 85 and 15
+    ], ids=["several blocks", "several slices", "one block",
+            "blocks sized by M", "order 2", "order 4"])
+    def test_matches_per_sample_oracle(self, dims, m, samples, block, width):
+        k = math.prod(dims[1:])
+        assert _PROBE_BLOCK_BYTES // (8 * max(3 * k, m)) == block
+        s = min(block, samples)
+        room = _PROBE_BLOCK_BYTES - 8 * s * 3 * k
+        assert min(dims[0], max(1, room // (8 * s * k))) == width
         op = create_operator(m, dims, seed=7)
         res = rip_probe(op, 3, 10.0, samples=samples, seed=8)
         ratios = []
@@ -171,3 +184,17 @@ class TestRipProbe:
         op = create_operator(10, (3, 3), seed=3)
         with pytest.raises(ValueError):
             rip_probe(op, 1, 1.0, samples=0, seed=0)
+
+    @pytest.mark.parametrize("dims, m, rank, samples", [
+        ((20, 20, 20), 270, 3, 100),  # the probe benchmark's operation
+        ((6, 6, 6), 512, 2, 1000),  # criterion 3
+    ])
+    def test_memory_stays_within_three_blocks(self, dims, m, rank, samples):
+        op = create_operator(m, dims, seed=7)
+        tracemalloc.start()
+        try:
+            rip_probe(op, rank, 10.0, samples=samples, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _PROBE_BLOCK_BYTES
